@@ -180,7 +180,6 @@ type Model struct {
 
 	mu     sync.Mutex
 	cache  *allocCache
-	keyBuf []byte
 	hits   uint64
 	misses uint64
 }
@@ -228,8 +227,7 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 	}
 
 	m.mu.Lock()
-	m.keyBuf = appendKey(m.keyBuf[:0], reqs)
-	if e := m.cache.get(m.keyBuf); e != nil {
+	if e := m.cache.get(reqs); e != nil {
 		m.hits++
 		grants := append(dst[:0], e.grants...)
 		out = e.outcome
@@ -270,7 +268,7 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 		out.Utilization = float64(served / ceff)
 	}
 	out.Saturated = out.Utilization > SaturationKnee
-	m.cache.put(m.keyBuf, append([]Grant(nil), grants...), out)
+	m.cache.put(reqs, append([]Grant(nil), grants...), out)
 	m.mu.Unlock()
 	return grants, out
 }

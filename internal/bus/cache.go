@@ -1,9 +1,6 @@
 package bus
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "math"
 
 // DefaultCacheSize bounds the equilibrium cache. Workload demands are
 // piecewise-constant across phases, so the set of distinct request
@@ -16,57 +13,91 @@ const DefaultCacheSize = 512
 // computed for one request vector. Entries form a doubly-linked list
 // in recency order (head = most recently used).
 type allocEntry struct {
-	key        string
+	hash       uint64
+	reqs       []Request // private copy, compared bit for bit
 	grants     []Grant
 	outcome    Outcome
 	prev, next *allocEntry
 }
 
-// allocCache is a bounded LRU over exact request-vector keys. Keys are
-// the raw IEEE-754 bits of every (Demand, StallFrac) pair, so a hit
-// replays the bit-identical grants of the original solve — no
-// warm-start approximation, no tolerance, no drift. Not safe for
-// concurrent use; the owning Model serializes access.
+// allocCache is a bounded LRU over exact request vectors. The map is
+// keyed on a 64-bit hash of the raw IEEE-754 bits of every (Demand,
+// StallFrac) pair, and a lookup confirms the hit by comparing the
+// stored vector bit for bit, so a hit replays the bit-identical grants
+// of the original solve — no warm-start approximation, no tolerance,
+// no drift. Two vectors that share a hash evict each other, which
+// costs a re-solve and never a wrong answer. Not safe for concurrent
+// use; the owning Model serializes access.
 type allocCache struct {
 	limit      int
-	entries    map[string]*allocEntry
+	entries    map[uint64]*allocEntry
 	head, tail *allocEntry
 }
 
 func newAllocCache(limit int) *allocCache {
-	return &allocCache{limit: limit, entries: make(map[string]*allocEntry, limit)}
+	return &allocCache{limit: limit, entries: make(map[uint64]*allocEntry)}
 }
 
-// appendKey encodes reqs into dst as the exact float64 bit patterns,
-// reusing dst's capacity. Two vectors collide only if every demand and
-// stall fraction is bit-for-bit equal, in order.
-func appendKey(dst []byte, reqs []Request) []byte {
+// hashReqs mixes the exact float64 bit patterns of reqs, in order.
+func hashReqs(reqs []Request) uint64 {
+	h := uint64(len(reqs))
 	for _, r := range reqs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(float64(r.Demand)))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.StallFrac))
+		h = mix64(h ^ math.Float64bits(float64(r.Demand)))
+		h = mix64(h ^ math.Float64bits(r.StallFrac))
 	}
-	return dst
+	return h
 }
 
-// get returns the entry for key and promotes it to most-recent, or nil.
-// The []byte→string conversion in the map lookup does not allocate.
-func (c *allocCache) get(key []byte) *allocEntry {
-	e, ok := c.entries[string(key)]
-	if !ok {
+func mix64(x uint64) uint64 {
+	x *= 0x9e3779b97f4a7c15
+	return x ^ x>>32
+}
+
+// sameBits reports whether a and b hold bit-for-bit equal requests, in
+// order.
+func sameBits(a, b []Request) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(float64(a[i].Demand)) != math.Float64bits(float64(b[i].Demand)) ||
+			math.Float64bits(a[i].StallFrac) != math.Float64bits(b[i].StallFrac) {
+			return false
+		}
+	}
+	return true
+}
+
+// get returns the entry for reqs and promotes it to most-recent, or
+// nil. Consecutive micro-steps usually repeat one vector, so the
+// most recent entry is checked before hashing.
+func (c *allocCache) get(reqs []Request) *allocEntry {
+	if c.head != nil && sameBits(c.head.reqs, reqs) {
+		return c.head
+	}
+	e := c.entries[hashReqs(reqs)]
+	if e == nil || !sameBits(e.reqs, reqs) {
 		return nil
 	}
 	c.moveToFront(e)
 	return e
 }
 
-// put inserts a new entry for key, evicting the least recently used
-// entry once the cache is full. grants must be a private copy.
-func (c *allocCache) put(key []byte, grants []Grant, out Outcome) {
-	if len(c.entries) >= c.limit {
-		c.evictOldest()
+// put inserts a new entry for reqs, replacing an entry with the same
+// hash and otherwise evicting the least recently used entry once the
+// cache is full. grants must be a private copy.
+func (c *allocCache) put(reqs []Request, grants []Grant, out Outcome) {
+	h := hashReqs(reqs)
+	old := c.entries[h]
+	if old == nil && len(c.entries) >= c.limit {
+		old = c.tail
+		delete(c.entries, old.hash)
 	}
-	e := &allocEntry{key: string(key), grants: grants, outcome: out}
-	c.entries[e.key] = e
+	if old != nil {
+		c.unlink(old)
+	}
+	e := &allocEntry{hash: h, reqs: append([]Request(nil), reqs...), grants: grants, outcome: out}
+	c.entries[h] = e
 	c.pushFront(e)
 }
 
@@ -86,29 +117,22 @@ func (c *allocCache) pushFront(e *allocEntry) {
 }
 
 func (c *allocCache) moveToFront(e *allocEntry) {
-	if c.head == e {
-		return
+	if c.head != e {
+		c.unlink(e)
+		c.pushFront(e)
 	}
-	// Unlink (e is not the head, so e.prev != nil).
-	e.prev.next = e.next
+}
+
+// unlink removes e from the recency list; the map entry stays.
+func (c *allocCache) unlink(e *allocEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		c.head = e.next
+	}
 	if e.next != nil {
 		e.next.prev = e.prev
 	} else {
 		c.tail = e.prev
-	}
-	c.pushFront(e)
-}
-
-func (c *allocCache) evictOldest() {
-	e := c.tail
-	if e == nil {
-		return
-	}
-	delete(c.entries, e.key)
-	c.tail = e.prev
-	if c.tail != nil {
-		c.tail.next = nil
-	} else {
-		c.head = nil
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"busaware/internal/bus"
 	"busaware/internal/cache"
+	"busaware/internal/perfctr"
 	"busaware/internal/units"
 	"busaware/internal/workload"
 )
@@ -149,8 +150,8 @@ type Machine struct {
 	// Per-call scratch, reused across Steps so the quantum loop
 	// allocates nothing beyond the returned ThreadStep slice.
 	cpuUsed  []bool
-	thrUsed  map[*workload.Thread]bool
 	busyCore []int
+	deltas   [][perfctr.NumEvents]uint64 // per-placement counter increments
 	reqs     []bus.Request
 	grants   []bus.Grant
 	steps    []ThreadStep
@@ -176,8 +177,8 @@ func New(cfg Config) (*Machine, error) {
 		lastThread: make([]*workload.Thread, cfg.NumCPUs),
 		busyTime:   make([]units.Time, cfg.NumCPUs),
 		cpuUsed:    make([]bool, cfg.NumCPUs),
-		thrUsed:    make(map[*workload.Thread]bool, cfg.NumCPUs),
 		busyCore:   make([]int, (cfg.NumCPUs+1)/2),
+		deltas:     make([][perfctr.NumEvents]uint64, cfg.NumCPUs),
 		reqs:       make([]bus.Request, 0, cfg.NumCPUs),
 		grants:     make([]bus.Grant, 0, cfg.NumCPUs),
 		steps:      make([]ThreadStep, 0, cfg.NumCPUs),
@@ -224,8 +225,7 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	for i := range m.cpuUsed {
 		m.cpuUsed[i] = false
 	}
-	clear(m.thrUsed)
-	for _, p := range placements {
+	for i, p := range placements {
 		if p.Thread == nil {
 			return StepResult{}, errors.New("machine: nil thread placed")
 		}
@@ -235,11 +235,12 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		if m.cpuUsed[p.CPU] {
 			return StepResult{}, fmt.Errorf("machine: CPU %d double-booked", p.CPU)
 		}
-		if m.thrUsed[p.Thread] {
-			return StepResult{}, fmt.Errorf("machine: thread %s/%d placed twice", p.Thread.App.Instance, p.Thread.Index)
+		for _, q := range placements[:i] {
+			if q.Thread == p.Thread {
+				return StepResult{}, fmt.Errorf("machine: thread %s/%d placed twice", p.Thread.App.Instance, p.Thread.Index)
+			}
 		}
 		m.cpuUsed[p.CPU] = true
-		m.thrUsed[p.Thread] = true
 	}
 
 	scratch := m.steps[:cap(m.steps)]
@@ -295,6 +296,12 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	var utilSum float64
 	var servedSum units.Rate
 	reqs := m.reqs[:len(placements)] // cap is NumCPUs >= len(placements)
+	// Counter increments are summed per placement across the micro-steps
+	// and flushed once below. Nothing reads the counters inside a Step,
+	// and the modular sum of the same truncated increments is the same,
+	// so the flush is exact.
+	deltas := m.deltas[:len(placements)]
+	clear(deltas)
 	for s := 0; s < steps; s++ {
 		sub := m.cfg.MicroStep
 		if sub > remaining {
@@ -318,7 +325,7 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 				speed *= m.cfg.SMTEfficiency
 			}
 			wall := float64(sub)
-			p.Thread.Advance(wall*speed, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
+			p.Thread.AdvanceInto(&deltas[i], wall*speed, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
 			w := float64(sub) / float64(dt)
 			res.Threads[i].Speed += speed * w
 			res.Threads[i].Rate += g.Rate * units.Rate(w*speed/maxf(g.Speed, 1e-12))
@@ -326,6 +333,9 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		utilSum += out.Utilization
 		servedSum += out.Served
 		res.Outcome = out
+	}
+	for i, p := range placements {
+		p.Thread.Counters.AddAll(deltas[i])
 	}
 	res.MeanUtilization = utilSum / float64(steps)
 	res.MeanServed = servedSum / units.Rate(steps)

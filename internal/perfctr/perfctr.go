@@ -16,7 +16,7 @@ package perfctr
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"busaware/internal/units"
 )
@@ -59,46 +59,62 @@ const CounterBits = 40
 const counterMask = (uint64(1) << CounterBits) - 1
 
 // Counters is one thread's virtual counter file. It is safe for
-// concurrent use: the simulator writes while the CPU manager polls.
+// concurrent use without a lock: each event is one atomic.Uint64 that
+// Add increments without masking, and readers apply the hardware mask.
+// Because 2^CounterBits divides 2^64, the masked value of the unmasked
+// modular sum equals the value a CounterBits-wide counter would hold,
+// so totals are exact under any interleaving of concurrent Adds.
 type Counters struct {
-	mu     sync.Mutex
-	values [numEvents]uint64
+	values [numEvents]atomic.Uint64
 }
 
-// Add increments event ev by n, wrapping at the hardware width.
+// Add increments event ev by n; the counter wraps at the hardware width
+// when read.
 func (c *Counters) Add(ev Event, n uint64) {
 	if ev < 0 || ev >= numEvents {
 		return
 	}
-	c.mu.Lock()
-	c.values[ev] = (c.values[ev] + n) & counterMask
-	c.mu.Unlock()
+	c.values[ev].Add(n)
 }
 
-// Read returns the current value of event ev.
+// AddAll increments every event by its entry in d, skipping zero
+// entries. It is the flush half of a batched update: accumulate a
+// stretch of increments in a plain [NumEvents]uint64, then add it here
+// once — exact, because modular addition is associative.
+func (c *Counters) AddAll(d [NumEvents]uint64) {
+	for i, n := range d {
+		if n != 0 {
+			c.values[i].Add(n)
+		}
+	}
+}
+
+// Read returns the current value of event ev, read atomically and
+// masked to the hardware width.
 func (c *Counters) Read(ev Event) uint64 {
 	if ev < 0 || ev >= numEvents {
 		return 0
 	}
-	c.mu.Lock()
-	v := c.values[ev]
-	c.mu.Unlock()
-	return v
+	return c.values[ev].Load() & counterMask
 }
 
-// Snapshot returns all counter values atomically.
+// Snapshot returns every counter masked to the hardware width. Each
+// event is read atomically, but the events are read one after another:
+// under concurrent Adds the result is not a consistent cut across
+// events.
 func (c *Counters) Snapshot() [NumEvents]uint64 {
-	c.mu.Lock()
-	v := c.values
-	c.mu.Unlock()
+	var v [NumEvents]uint64
+	for i := range v {
+		v[i] = c.values[i].Load() & counterMask
+	}
 	return v
 }
 
 // Reset zeroes all counters.
 func (c *Counters) Reset() {
-	c.mu.Lock()
-	c.values = [numEvents]uint64{}
-	c.mu.Unlock()
+	for i := range c.values {
+		c.values[i].Store(0)
+	}
 }
 
 // Sample is a point-in-time reading of one counter set.

@@ -28,9 +28,22 @@ type Linux struct {
 	numCPUs int
 	rng     *rand.Rand
 
-	list     jobList
-	counters map[*workload.Thread]int
-	queue    []*workload.Thread // runqueue order, shuffled per epoch
+	// queue is the runqueue in order, shuffled per epoch; each entry
+	// carries its thread's state, so a Schedule call indexes the slice
+	// instead of looking threads up in maps.
+	queue      []linuxEntry
+	placements []machine.Placement // Schedule's reusable result
+}
+
+// linuxEntry is one thread's runqueue slot.
+type linuxEntry struct {
+	t       *workload.Thread
+	counter int // quanta left in this epoch
+	// Per-Schedule state: whether the thread may still be picked this
+	// call (runnable, counter left, not yet placed), and where it last
+	// ran.
+	eligible bool
+	lastCPU  int
 }
 
 // LinuxQuantum is the baseline's time slice: the paper states the CPU
@@ -53,10 +66,9 @@ const affinityBonus = 1
 // deterministic seed.
 func NewLinux(numCPUs int, seed int64) *Linux {
 	return &Linux{
-		quantum:  LinuxQuantum,
-		numCPUs:  numCPUs,
-		rng:      rand.New(rand.NewSource(seed)),
-		counters: make(map[*workload.Thread]int),
+		quantum: LinuxQuantum,
+		numCPUs: numCPUs,
+		rng:     rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -68,46 +80,37 @@ func (l *Linux) Quantum() units.Time { return l.quantum }
 
 // Add implements Scheduler.
 func (l *Linux) Add(j *Job) {
-	l.list.add(j)
 	for _, t := range j.App.Threads {
-		l.counters[t] = epochTicks
-		l.queue = append(l.queue, t)
+		l.queue = append(l.queue, linuxEntry{t: t, counter: epochTicks})
 	}
 }
 
 // Remove implements Scheduler.
 func (l *Linux) Remove(j *Job) {
-	l.list.remove(j)
-	for _, t := range j.App.Threads {
-		delete(l.counters, t)
-	}
 	kept := l.queue[:0]
-	for _, t := range l.queue {
-		if t.App != j.App {
-			kept = append(kept, t)
+	for _, e := range l.queue {
+		if e.t.App != j.App {
+			kept = append(kept, e)
 		}
 	}
+	clear(l.queue[len(kept):])
 	l.queue = kept
 }
 
-// runnable reports whether t can run.
-func (l *Linux) runnable(t *workload.Thread) bool {
-	_, tracked := l.counters[t]
-	return tracked && !t.Done()
-}
-
-// Schedule implements Scheduler.
+// Schedule implements Scheduler. The returned slice is reused by the
+// next call.
 func (l *Linux) Schedule(now units.Time, aff Affinity) []machine.Placement {
 	// Epoch boundary: refill when every runnable thread is out of
 	// counter.
 	spent := true
 	anyRunnable := false
-	for _, t := range l.queue {
-		if !l.runnable(t) {
+	for i := range l.queue {
+		e := &l.queue[i]
+		if e.t.Done() {
 			continue
 		}
 		anyRunnable = true
-		if l.counters[t] > 0 {
+		if e.counter > 0 {
 			spent = false
 			break
 		}
@@ -116,9 +119,9 @@ func (l *Linux) Schedule(now units.Time, aff Affinity) []machine.Placement {
 		return nil
 	}
 	if spent {
-		for _, t := range l.queue {
-			if l.runnable(t) {
-				l.counters[t] = l.counters[t]/2 + epochTicks
+		for i := range l.queue {
+			if e := &l.queue[i]; !e.t.Done() {
+				e.counter = e.counter/2 + epochTicks
 			}
 		}
 		l.rng.Shuffle(len(l.queue), func(i, j int) {
@@ -126,30 +129,42 @@ func (l *Linux) Schedule(now units.Time, aff Affinity) []machine.Placement {
 		})
 	}
 
-	assigned := make(map[*workload.Thread]bool)
-	var placements []machine.Placement
+	// Reset the per-call state in a full pass of its own: the scan
+	// above stops early.
+	for i := range l.queue {
+		e := &l.queue[i]
+		e.eligible = e.counter > 0 && !e.t.Done()
+		e.lastCPU = -1
+		if e.eligible && aff != nil {
+			e.lastCPU = aff.LastCPU(e.t)
+		}
+	}
+
+	placements := l.placements[:0]
 	for cpu := 0; cpu < l.numCPUs; cpu++ {
-		var best *workload.Thread
+		var best *linuxEntry
 		bestGoodness := -1
-		for _, t := range l.queue {
-			if assigned[t] || !l.runnable(t) || l.counters[t] <= 0 {
+		for i := range l.queue {
+			e := &l.queue[i]
+			if !e.eligible {
 				continue
 			}
-			g := l.counters[t]
-			if aff != nil && aff.LastCPU(t) == cpu {
+			g := e.counter
+			if e.lastCPU == cpu {
 				g += affinityBonus
 			}
 			if g > bestGoodness {
 				bestGoodness = g
-				best = t
+				best = e
 			}
 		}
 		if best == nil {
 			continue
 		}
-		assigned[best] = true
-		l.counters[best]--
-		placements = append(placements, machine.Placement{Thread: best, CPU: cpu})
+		best.eligible = false
+		best.counter--
+		placements = append(placements, machine.Placement{Thread: best.t, CPU: cpu})
 	}
+	l.placements = placements
 	return placements
 }

@@ -86,6 +86,20 @@ func (j *Job) PushSample(perThread units.Rate) {
 	j.awaitingSample = false
 }
 
+// PushSamples is n successive PushSample(perThread) calls, for the
+// event-driven engine's replay of n identical quanta.
+func (j *Job) PushSamples(perThread units.Rate, n int) {
+	if n <= 0 {
+		return
+	}
+	j.window.PushN(float64(perThread), n)
+	if j.ewma != nil {
+		j.ewma.PushN(float64(perThread), n)
+	}
+	j.staleQuanta = 0
+	j.awaitingSample = false
+}
+
 // settleQuantum closes out the previous quantum: if the job ran it
 // and no fresh sample arrived since, that quantum was stale. Called at
 // the top of Schedule, so staleness is visible to the selection that

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"busaware/internal/bus"
 	"busaware/internal/machine"
@@ -120,6 +121,31 @@ type leapScratch struct {
 	// a multi-phase thread wrapping (visible as a request change).
 	finiteThreads []*workload.Thread
 	multiPhase    []int
+	// leader maps each plan thread to the earlier plan thread whose
+	// replay it copies, or -1 when it replays itself.
+	leader []int
+}
+
+// replayLeader returns the plan thread, before i and itself replayed,
+// that thread i can copy each replayed quantum: a thread of the same
+// application with the same progress and phase position and bitwise
+// the same per-micro-step advances. It returns -1 when there is none.
+func replayLeader(plan *machine.StretchPlan, leader []int, i int) int {
+	t := &plan.Threads[i]
+	idx, used := t.Thread.PhasePos()
+	for j := 0; j < i; j++ {
+		l := &plan.Threads[j]
+		if leader[j] >= 0 || l.Thread.App != t.Thread.App || l.Thread.Progress() != t.Thread.Progress() {
+			continue
+		}
+		if lidx, lused := l.Thread.PhasePos(); lidx != idx || lused != used {
+			continue
+		}
+		if slices.Equal(l.SoloPerSub, t.SoloPerSub) {
+			return j
+		}
+	}
+	return -1
 }
 
 // leapHorizon bounds how many quanta may be replayed from the plan
@@ -325,18 +351,14 @@ func (ls *leapScratch) tryLeap(
 			st.demandCum += float64(pt.Rate) / pt.Speed
 		}
 	}
-	ls.apps = ls.apps[:0]
+	ls.apps = slices.Grow(ls.apps[:0], len(states))
 	steady := true
 	for _, st := range states {
 		var appTrans uint64
 		for ti := range st.app.Threads {
 			var deltas [perfctr.NumEvents]uint64
 			if pi := planThreadIndex(plan, st.app.Threads[ti]); pi >= 0 {
-				pt := &plan.Threads[pi]
-				deltas[perfctr.EventCycles] = pt.CyclesPerQ
-				deltas[perfctr.EventBusTransAny] = pt.TransPerQ
-				deltas[perfctr.EventL2Refs] = pt.RefsPerQ
-				deltas[perfctr.EventL2Misses] = pt.MissPerQ
+				deltas = plan.Threads[pi].PerQ
 			}
 			rates, rok := perfctr.SynthesizeRates(deltas, quantum)
 			if !rok {
@@ -367,7 +389,7 @@ func (ls *leapScratch) tryLeap(
 
 	// Watch list for the per-quantum stop check: only state replay can
 	// move needs re-testing each quantum.
-	ls.finiteThreads = ls.finiteThreads[:0]
+	ls.finiteThreads = slices.Grow(ls.finiteThreads[:0], len(plan.Threads))
 	ls.multiPhase = ls.multiPhase[:0]
 	for i := range plan.Threads {
 		t := plan.Threads[i].Thread
@@ -379,10 +401,18 @@ func (ls *leapScratch) tryLeap(
 		}
 	}
 
-	// Replay. Per quantum: the exact micro-step advance sequence, the
-	// utilization accumulation, and one bandwidth sample per admitted
-	// application — the full float-visible footprint of a stepped
-	// quantum. Everything integer is batched afterwards. ReplayAdvance
+	// A sibling that starts in the same replay state as an earlier
+	// thread of its gang and receives bitwise the same advances ends
+	// every quantum in that thread's state, so it copies the state
+	// instead of replaying it.
+	ls.leader = slices.Grow(ls.leader[:0], len(plan.Threads))
+	for i := range plan.Threads {
+		ls.leader = append(ls.leader, replayLeader(plan, ls.leader, i))
+	}
+
+	// Replay. Per quantum: the exact micro-step advance sequence and
+	// the utilization accumulation — the float-visible footprint of a
+	// stepped quantum that the stop check can observe. ReplayAdvance
 	// is AdvanceWork minus the debt/completion/barrier checks the leap
 	// horizon already proved are no-ops; the float arithmetic it
 	// performs is bitwise identical.
@@ -391,31 +421,34 @@ func (ls *leapScratch) tryLeap(
 	for k < maxK {
 		for i := range plan.Threads {
 			pt := &plan.Threads[i]
-			pt.Thread.ReplayAdvance(pt.SoloPerSub)
+			if l := ls.leader[i]; l >= 0 {
+				pt.Thread.FollowReplay(plan.Threads[l].Thread)
+			} else {
+				pt.Thread.ReplayAdvance(pt.SoloPerSub)
+			}
 		}
 		k++
 		res.Quanta++
 		*utilSum += plan.MeanUtilization
-		for i := range ls.apps {
-			ls.apps[i].st.job.PushSample(ls.apps[i].push)
-		}
 		if ls.leapStop(plan, finite) {
 			break
 		}
 	}
 
-	// Batched integer commit: counters, per-app totals, machine clock
-	// and busy time — all modular or integral, so k quanta collapse to
-	// one addition each.
+	// Batched commit: the bandwidth samples (k pushes of the steady
+	// value, which PushSamples replays exactly), counters, per-app
+	// totals, machine clock and busy time — all modular or integral, so
+	// k quanta collapse to one addition each.
+	for i := range ls.apps {
+		ls.apps[i].st.job.PushSamples(ls.apps[i].push, k)
+	}
 	for i := range plan.Threads {
 		pt := &plan.Threads[i]
-		c := &pt.Thread.Counters
-		c.Add(perfctr.EventCycles, uint64(k)*pt.CyclesPerQ)
-		c.Add(perfctr.EventBusTransAny, uint64(k)*pt.TransPerQ)
-		if miss := 1 - pt.Thread.App.Profile.WorkingSet.HitRate; miss > 0 {
-			c.Add(perfctr.EventL2Refs, uint64(k)*pt.RefsPerQ)
-			c.Add(perfctr.EventL2Misses, uint64(k)*pt.MissPerQ)
+		d := pt.PerQ
+		for ev := range d {
+			d[ev] *= uint64(k)
 		}
+		pt.Thread.Counters.AddAll(d)
 	}
 	for i := range ls.apps {
 		la := &ls.apps[i]

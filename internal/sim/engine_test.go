@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -480,5 +481,52 @@ func TestLeapHorizonBarrier(t *testing.T) {
 	plan = mk()
 	if got := leapHorizon(&plan, 0, 20*q); got != 0 {
 		t.Errorf("barrier-imminent horizon = %d, want 0", got)
+	}
+}
+
+// replayLeader may pair a sibling with an earlier plan thread only when
+// the same ReplayAdvance inputs would leave both in the same state:
+// same application, same progress and phase position, and bitwise the
+// same per-micro-step advances. (Equal progress with a different phase
+// position takes float rounding to build, so only the progress and
+// advance conditions are exercised here.)
+func TestReplayLeaderRequiresIdenticalReplayState(t *testing.T) {
+	p, ok := workload.ByName("Raytrace") // two threads, five phases
+	if !ok {
+		t.Fatal("no Raytrace profile")
+	}
+	sub := []float64{10_000, 10_000, 10_000}
+	plan := func(threads ...*workload.Thread) *machine.StretchPlan {
+		pl := &machine.StretchPlan{}
+		for i, th := range threads {
+			pl.Threads = append(pl.Threads, machine.StretchThread{Thread: th, CPU: i, SoloPerSub: append([]float64(nil), sub...)})
+		}
+		return pl
+	}
+	leaders := func(pl *machine.StretchPlan) []int {
+		var l []int
+		for i := range pl.Threads {
+			l = append(l, replayLeader(pl, l, i))
+		}
+		return l
+	}
+
+	a := workload.NewApp(p, "A")
+	b := workload.NewApp(p, "B")
+	if got := leaders(plan(a.Threads[0], a.Threads[1], b.Threads[0])); !slices.Equal(got, []int{-1, 0, -1}) {
+		t.Errorf("fresh gang: leaders %v, want [-1 0 -1]", got)
+	}
+
+	// Same progress, different advances.
+	pl := plan(a.Threads[0], a.Threads[1])
+	pl.Threads[1].SoloPerSub[2]++
+	if got := leaders(pl); !slices.Equal(got, []int{-1, -1}) {
+		t.Errorf("different advances: leaders %v, want [-1 -1]", got)
+	}
+
+	// Different progress.
+	a.Threads[1].AdvanceWork(1000)
+	if got := leaders(plan(a.Threads[0], a.Threads[1])); !slices.Equal(got, []int{-1, -1}) {
+		t.Errorf("different progress: leaders %v, want [-1 -1]", got)
 	}
 }

@@ -3,7 +3,9 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 
 	"busaware/internal/cache"
 	"busaware/internal/units"
@@ -124,13 +126,18 @@ func ByName(name string) (Profile, bool) {
 	case "Database":
 		return Database(), true
 	}
-	for _, p := range paperProfiles() {
+	for _, p := range paperRegistry() {
 		if p.Name == name {
+			p.Phases = slices.Clone(p.Phases)
 			return p, true
 		}
 	}
 	return Profile{}, false
 }
+
+// paperRegistry builds the paper profiles once; ByName hands out
+// copies with their own Phases, so callers may still mutate them.
+var paperRegistry = sync.OnceValue(paperProfiles)
 
 // BBMA is the bus-saturating antagonist: a single thread streaming
 // back-to-back line fills at 23.6 trans/usec with ~0% L2 hit rate. It

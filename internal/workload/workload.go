@@ -158,10 +158,10 @@ const CPUFrequencyMHz = 1400
 
 // Done reports whether the thread has completed its solo work.
 func (t *Thread) Done() bool {
-	if t.App.Profile.Endless() {
-		return false
-	}
-	return t.progress >= float64(t.App.Profile.SoloTime)
+	// Endless, inlined: the value-receiver call copies the whole
+	// Profile, and Done runs several times per thread per micro-step.
+	solo := t.App.Profile.SoloTime
+	return solo > 0 && t.progress >= float64(solo)
 }
 
 // Remaining returns the outstanding solo-equivalent work (including
@@ -293,17 +293,38 @@ func (t *Thread) Debt() float64 { return t.debt }
 // counters with the transactions issued at rate actualRate (the bus
 // grant) over wallUsec of wall-clock time.
 func (t *Thread) Advance(soloUsec float64, wallUsec float64, actualRate units.Rate) {
+	var d [perfctr.NumEvents]uint64
+	t.AdvanceInto(&d, soloUsec, wallUsec, actualRate)
+	t.Counters.AddAll(d)
+}
+
+// AdvanceInto is Advance with the counter increments accumulated into
+// d instead of added to t.Counters. The machine sums a whole slice's
+// micro-steps this way and flushes once per Step with AddAll; the
+// counters end up bit-identical to per-micro-step Advance calls
+// because each increment is truncated exactly as before and modular
+// addition is associative.
+func (t *Thread) AdvanceInto(d *[perfctr.NumEvents]uint64, soloUsec float64, wallUsec float64, actualRate units.Rate) {
+	t.CountInto(d, wallUsec, actualRate)
+	t.AdvanceWork(soloUsec)
+}
+
+// CountInto adds to d the counter increments of wallUsec of wall-clock
+// execution issuing bus transactions at actualRate: the counter half
+// of AdvanceInto. Each increment is truncated to an integer on its own,
+// so a sum of CountInto calls is exactly what the same sequence of
+// Advance calls adds to the counters.
+func (t *Thread) CountInto(d *[perfctr.NumEvents]uint64, wallUsec float64, actualRate units.Rate) {
 	// Counters reflect wall-clock activity.
-	t.Counters.Add(perfctr.EventCycles, uint64(wallUsec*CPUFrequencyMHz))
-	t.Counters.Add(perfctr.EventBusTransAny, uint64(float64(actualRate)*wallUsec))
+	d[perfctr.EventCycles] += uint64(wallUsec * CPUFrequencyMHz)
+	d[perfctr.EventBusTransAny] += uint64(float64(actualRate) * wallUsec)
 	miss := 1 - t.App.Profile.WorkingSet.HitRate
 	if miss > 0 {
 		trans := float64(actualRate) * wallUsec
 		refs := trans / miss
-		t.Counters.Add(perfctr.EventL2Refs, uint64(refs))
-		t.Counters.Add(perfctr.EventL2Misses, uint64(trans))
+		d[perfctr.EventL2Refs] += uint64(refs)
+		d[perfctr.EventL2Misses] += uint64(trans)
 	}
-	t.AdvanceWork(soloUsec)
 }
 
 // AdvanceWork is the debt/barrier/progress/phase portion of Advance,
@@ -368,25 +389,30 @@ func (t *Thread) ReplayAdvance(soloPerSub []float64) {
 	progress, used := t.progress, t.phaseUsed
 	phases := t.App.Profile.Phases
 	idx := t.phaseIdx
+	d := float64(phases[idx].Duration)
 	for _, s := range soloPerSub {
 		if s <= 0 {
 			continue
 		}
 		progress += s
 		used += s
-		for {
-			d := float64(phases[idx].Duration)
-			if used < d {
-				break
-			}
+		for used >= d {
 			used -= d
 			idx++
 			if idx == len(phases) {
 				idx = 0
 			}
+			d = float64(phases[idx].Duration)
 		}
 	}
 	t.progress, t.phaseUsed, t.phaseIdx = progress, used, idx
+}
+
+// FollowReplay sets the state ReplayAdvance writes — progress and
+// phase position — to src's. A sibling that starts a replayed quantum
+// in src's state and receives the same advances would end it there.
+func (t *Thread) FollowReplay(src *Thread) {
+	t.progress, t.phaseUsed, t.phaseIdx = src.progress, src.phaseUsed, src.phaseIdx
 }
 
 // App is one running instance of a Profile.
