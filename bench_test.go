@@ -9,7 +9,6 @@ package busaware
 
 import (
 	"testing"
-	"time"
 
 	"busaware/internal/experiments"
 )
@@ -288,9 +287,8 @@ func BenchmarkSimQuantum(b *testing.B) {
 // simRunFullApps builds the whole-run benchmark workload: two finite
 // paper applications (four threads total) that fit the 4-CPU machine
 // and stay far under bus capacity, so the schedule reaches a steady
-// state and the event engine's leap path carries most of the run.
-// Barnes (15 s solo) and BT (16 s solo) give a moderate/high bandwidth
-// mix and ~80 quanta of run, long enough that the stepped warmup and
+// state. Barnes (15 s solo) and BT (16 s solo) give a moderate/high
+// bandwidth mix and ~80 quanta of run, long enough that the warmup and
 // completion quanta are a small fraction of the whole.
 func simRunFullApps(b *testing.B) []*App {
 	b.Helper()
@@ -305,59 +303,21 @@ func simRunFullApps(b *testing.B) []*App {
 	return []*App{NewInstance(barnes, "Barnes#1"), NewInstance(bt, "BT#1")}
 }
 
-// simRunFull executes one whole run under the given engine and returns
-// the result.
-func simRunFull(b *testing.B, engine EngineKind) Result {
-	b.Helper()
-	m := PaperMachine()
-	s, err := NewScheduler(PolicyQuantaWindow, m, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := RunEngine(engine, m, s, nil, simRunFullApps(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res
-}
-
-// BenchmarkSimRunFull measures whole-run simulation cost under both
-// engines (not a paper figure; engineering metric). The event
-// sub-benchmark also times one stepped reference run and reports
-// event/quantum-ratio — per-run event cost as a fraction of quantum
-// cost, lower is better — which CI gates at 0.2 (a hard >= 5x
-// whole-run speedup floor), plus the inverse as speedup-x for humans.
+// BenchmarkSimRunFull measures the cost of one whole run (not a paper
+// figure; engineering metric). The sub-benchmark keeps the name CI
+// gates and BENCH_baseline.json record.
 func BenchmarkSimRunFull(b *testing.B) {
 	b.Run("quantum", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			simRunFull(b, EngineQuantum)
-		}
-	})
-	b.Run("event", func(b *testing.B) {
-		// The leap path must actually engage, or the "speedup" would
-		// silently measure two identical stepped runs.
-		if res := simRunFull(b, EngineEvent); res.LeaptQuanta == 0 {
-			b.Fatal("event engine did not leap on the benchmark workload")
-		}
-		// Average the stepped reference over a few runs — a single run's
-		// timing noise would leak straight into the gated ratio.
-		const refRuns = 10
-		t0 := time.Now()
-		for i := 0; i < refRuns; i++ {
-			simRunFull(b, EngineQuantum)
-		}
-		quantum := time.Since(t0) / refRuns
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			simRunFull(b, EngineEvent)
-		}
-		event := time.Since(start) / time.Duration(b.N)
-		if event > 0 {
-			b.ReportMetric(float64(event)/float64(quantum), "event/quantum-ratio")
-			b.ReportMetric(float64(quantum)/float64(event), "speedup-x")
+			m := PaperMachine()
+			s, err := NewScheduler(PolicyQuantaWindow, m, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := Run(m, s, simRunFullApps(b)); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -158,26 +158,6 @@ func Policies() []string {
 	}
 }
 
-// EngineKind selects the simulation core a run executes on.
-type EngineKind = sim.EngineKind
-
-// The three simulation engines: the quantum-stepped reference core
-// (default), the event-driven core that leaps across constant
-// stretches, and shadow mode, which runs both and fails on any
-// divergence in results or timeline telemetry.
-const (
-	EngineQuantum = sim.EngineQuantum
-	EngineEvent   = sim.EngineEvent
-	EngineShadow  = sim.EngineShadow
-)
-
-// ParseEngine maps a flag value to an engine: "" or "quantum",
-// "event", or "shadow".
-func ParseEngine(s string) (EngineKind, error) { return sim.ParseEngine(s) }
-
-// Engines lists the accepted engine names.
-func Engines() []string { return []string{"quantum", "event", "shadow"} }
-
 // Run executes apps on machine m under s until every finite
 // application completes, and returns per-application turnarounds and
 // machine-wide statistics.
@@ -212,23 +192,12 @@ func NewTimelineCollector(cfg TimelineConfig) (*TimelineCollector, error) {
 // RunPolicy is the one-call convenience wrapper: build the named
 // policy and run the workload on the paper machine.
 func RunPolicy(policy string, apps []*App) (Result, error) {
-	return RunPolicyEngine(EngineQuantum, policy, apps)
-}
-
-// RunEngine is Run on an explicit simulation engine. newSched rebuilds
-// an equivalent scheduler for the shadow engine's verification core;
-// it is required when engine is EngineShadow and may be nil otherwise.
-func RunEngine(engine EngineKind, m MachineConfig, s Scheduler, newSched func() (Scheduler, error), apps []*App) (Result, error) {
-	return sim.Run(sim.Config{Machine: m, Engine: engine, SchedulerFactory: newSched}, s, apps)
-}
-
-// RunEngineTraced is RunEngine with schedule recording. Under the
-// shadow engine the trace belongs to the authoritative stepped run;
-// the verification core replays untraced.
-func RunEngineTraced(engine EngineKind, m MachineConfig, s Scheduler, newSched func() (Scheduler, error), apps []*App) (Result, *Timeline, error) {
-	tl := &trace.Timeline{NumCPUs: m.NumCPUs}
-	res, err := sim.Run(sim.Config{Machine: m, Engine: engine, Trace: tl, SchedulerFactory: newSched}, s, apps)
-	return res, tl, err
+	m := PaperMachine()
+	s, err := NewScheduler(policy, m, 1)
+	if err != nil {
+		return Result{}, err
+	}
+	return Run(m, s, apps)
 }
 
 // ParseLoadPattern parses the scenario grammar ("step:10s@4;
@@ -244,29 +213,37 @@ func LoadPatternPresets() []string { return scenario.Presets() }
 // events, bit for bit.
 func MaterializeChurn(spec ChurnSpec) (*ChurnSchedule, error) { return scenario.Materialize(spec) }
 
-// RunScenario is RunEngine with a churn schedule overlaid: scenario
+// RunScenario is Run with a churn schedule overlaid: scenario
 // instances arrive and depart mid-run while the base apps run to
-// completion. A nil churn makes it identical to RunEngine.
-func RunScenario(engine EngineKind, m MachineConfig, s Scheduler, newSched func() (Scheduler, error), apps []*App, churn *ChurnSchedule) (Result, error) {
-	return sim.Run(sim.Config{Machine: m, Engine: engine, SchedulerFactory: newSched, Scenario: churn}, s, apps)
+// completion. A nil churn makes it identical to Run.
+func RunScenario(m MachineConfig, s Scheduler, apps []*App, churn *ChurnSchedule) (Result, error) {
+	return sim.Run(sim.Config{Machine: m, Scenario: churn}, s, apps)
 }
 
 // RunScenarioTraced is RunScenario with schedule recording.
-func RunScenarioTraced(engine EngineKind, m MachineConfig, s Scheduler, newSched func() (Scheduler, error), apps []*App, churn *ChurnSchedule) (Result, *Timeline, error) {
+func RunScenarioTraced(m MachineConfig, s Scheduler, apps []*App, churn *ChurnSchedule) (Result, *Timeline, error) {
 	tl := &trace.Timeline{NumCPUs: m.NumCPUs}
-	res, err := sim.Run(sim.Config{Machine: m, Engine: engine, Trace: tl, SchedulerFactory: newSched, Scenario: churn}, s, apps)
+	res, err := sim.Run(sim.Config{Machine: m, Trace: tl, Scenario: churn}, s, apps)
 	return res, tl, err
 }
 
-// RunPolicyEngine runs the named policy on the paper machine under the
-// given engine, reconstructing the policy for shadow's second core.
-func RunPolicyEngine(engine EngineKind, policy string, apps []*App) (Result, error) {
-	m := PaperMachine()
-	s, err := NewScheduler(policy, m, 1)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunEngine(engine, m, s, func() (sched.Scheduler, error) {
-		return NewScheduler(policy, m, 1)
-	}, apps)
+// EngineKind named a simulation core when the simulator had several.
+//
+// Deprecated: the quantum-stepped loop is the only core; RunEngine
+// ignores its engine argument.
+type EngineKind int
+
+// The engine names RunEngine once distinguished.
+//
+// Deprecated: both select the quantum-stepped loop.
+const (
+	EngineQuantum EngineKind = iota
+	EngineEvent
+)
+
+// RunEngine is Run; engine and newSched are ignored.
+//
+// Deprecated: use Run.
+func RunEngine(engine EngineKind, m MachineConfig, s Scheduler, newSched func() (Scheduler, error), apps []*App) (Result, error) {
+	return Run(m, s, apps)
 }

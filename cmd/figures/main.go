@@ -6,13 +6,9 @@
 //
 // Usage:
 //
-//	figures [-fig all|cal|hit|1a|1b|2a|2b|2c|ablw|ablq|ovh|zoo|sampling|robust|degr|servers|smt|timeline|churn] [-engine quantum|event|shadow] [-csv] [-workers N] [-runstats] [-timelineout f] [-cpuprofile f] [-memprofile f]
+//	figures [-fig all|cal|hit|1a|1b|2a|2b|2c|ablw|ablq|ovh|zoo|sampling|robust|degr|servers|smt|timeline|churn] [-csv] [-workers N] [-runstats] [-timelineout f] [-cpuprofile f] [-memprofile f]
 //
-// -engine selects the simulation core: quantum is the stepped
-// reference loop, event leaps across constant stretches, and shadow
-// runs both cores on every cell and fails on any divergence (the
-// correctness harness for the event engine). The figures themselves
-// are identical under all three.
+// The -fig all output is pinned byte for byte by testdata/all.golden.
 //
 // -fig timeline renders per-window telemetry (bus utilization,
 // admission decisions, saturation) for the saturated mix under the
@@ -29,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -44,7 +41,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	app := flag.String("app", "BT", "application for the scheduler-zoo comparison")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial); results are identical at any setting")
-	engine := flag.String("engine", "", "simulation engine: quantum (stepped reference, default), event (leaps constant stretches), shadow (runs both, fails on divergence)")
 	runstats := flag.Bool("runstats", false, "print run-level metrics (per-batch wall time, simulated quanta, bus utilization, worker occupancy) after the figures")
 	timelineOut := flag.String("timelineout", "", "with -fig timeline: write per-window telemetry to this file (.csv = CSV, else NDJSON)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole regeneration to this file")
@@ -55,7 +51,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	err = run(*fig, *engine, *csv, *app, *workers, *runstats, *timelineOut)
+	err = run(os.Stdout, *fig, *csv, *app, *workers, *runstats, *timelineOut)
 	// Finish the profiles before deciding the exit: a clean run flushes
 	// complete files; a failed run removes the partial ones instead of
 	// leaving truncated profiles that pprof would half-read.
@@ -67,12 +63,9 @@ func main() {
 	}
 }
 
-func run(fig, engine string, csv bool, app string, workers int, runstats bool, timelineOut string) error {
-	eng, err := busaware.ParseEngine(engine)
-	if err != nil {
-		return err
-	}
-	opt := busaware.ExperimentOptions{Workers: workers, Engine: eng}
+// run regenerates the figure named fig and writes its tables to w.
+func run(w io.Writer, fig string, csv bool, app string, workers int, runstats bool, timelineOut string) error {
+	opt := busaware.ExperimentOptions{Workers: workers}
 	var metrics *busaware.RunMetrics
 	if runstats {
 		metrics = busaware.NewRunMetrics()
@@ -80,15 +73,15 @@ func run(fig, engine string, csv bool, app string, workers int, runstats bool, t
 	}
 	emit := func(t *report.Table) {
 		if csv {
-			fmt.Print(t.CSV())
+			fmt.Fprint(w, t.CSV())
 		} else {
-			fmt.Println(t.String())
+			fmt.Fprintln(w, t.String())
 		}
 	}
 	var figTimes []figTime
 	defer func() {
 		if metrics != nil {
-			emit(figWallTable(eng, figTimes))
+			emit(figWallTable(figTimes))
 			emit(runstatsTable(metrics))
 		}
 	}()
@@ -158,11 +151,9 @@ type figTime struct {
 	wall time.Duration
 }
 
-// figWallTable renders per-figure wall clock and the engine the run
-// executed on.
-func figWallTable(engine busaware.EngineKind, times []figTime) *report.Table {
-	t := report.NewTable(fmt.Sprintf("Per-figure wall clock (engine=%s)", engine),
-		"Figure", "Wall")
+// figWallTable renders per-figure wall clock.
+func figWallTable(times []figTime) *report.Table {
+	t := report.NewTable("Per-figure wall clock", "Figure", "Wall")
 	var total time.Duration
 	for _, ft := range times {
 		total += ft.wall

@@ -7,7 +7,6 @@
 //	smpsim -policy window -apps "CG x2, BBMA x4"
 //	smpsim -policy linux -seed 7 -apps "Raytrace x2, nBBMA x4" -v
 //	smpsim -json -apps "CG x2, BBMA x4"     # smpsimd response schema
-//	smpsim -engine shadow -apps "CG x2, BBMA x4"   # verify event vs quantum
 //	smpsim -apps "Barnes" -scenario flashcrowd -scenario-seed 7 -v
 //
 // The -apps grammar is a comma-separated list of "<name> [xN]" items;
@@ -34,7 +33,6 @@ func main() {
 		fmt.Sprintf("scheduling policy: %s", strings.Join(busaware.Policies(), ", ")))
 	appsSpec := flag.String("apps", "CG x2, BBMA x4", "workload: comma-separated '<name> [xN]' items")
 	seed := flag.Int64("seed", 1, "seed for the Linux baseline's runqueue shuffling")
-	engineName := flag.String("engine", "", "simulation engine: quantum (stepped reference, default), event (leaps constant stretches), shadow (runs both, fails on divergence)")
 	cpus := flag.Int("cpus", 0, "override processor count (0 = paper machine's 4)")
 	verbose := flag.Bool("v", false, "print machine-wide statistics")
 	timeline := flag.Bool("timeline", false, "print an ASCII schedule timeline (with -json: embed the Chrome trace)")
@@ -53,18 +51,9 @@ func main() {
 	if *cpus > 0 {
 		m.NumCPUs = *cpus
 	}
-	engine, err := busaware.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
-	}
 	s, err := busaware.NewScheduler(*policy, m, *seed)
 	if err != nil {
 		fatal(err)
-	}
-	// Shadow's verification core replays with its own independent but
-	// identically-configured scheduler.
-	newSched := func() (busaware.Scheduler, error) {
-		return busaware.NewScheduler(*policy, m, *seed)
 	}
 	var churn *busaware.ChurnSchedule
 	if *scenarioPat != "" {
@@ -80,9 +69,9 @@ func main() {
 	var res busaware.Result
 	var tl *busaware.Timeline
 	if *timeline || *traceOut != "" {
-		res, tl, err = busaware.RunScenarioTraced(engine, m, s, newSched, apps, churn)
+		res, tl, err = busaware.RunScenarioTraced(m, s, apps, churn)
 	} else {
-		res, err = busaware.RunScenario(engine, m, s, newSched, apps, churn)
+		res, err = busaware.RunScenario(m, s, apps, churn)
 	}
 	if err != nil {
 		fatal(err)

@@ -35,7 +35,6 @@ import (
 
 	"busaware/internal/runner"
 	"busaware/internal/server"
-	"busaware/internal/sim"
 	"busaware/internal/store"
 )
 
@@ -50,19 +49,14 @@ func main() {
 	simDelay := flag.Duration("simdelay", 0, "artificial per-cell latency, standing in for expensive cells (overload/drain demos)")
 	tlQuanta := flag.Int("timeline-window", 0, "telemetry window span in quanta (0 = 64); smaller spans stream /v1/timeline windows sooner")
 	tlWindows := flag.Int("timeline-windows", 0, "per-run retained window ring size (0 = 256); older windows fold into the run summary")
-	engineName := flag.String("engine", "", "simulation engine: quantum (stepped reference, default), event (leaps constant stretches), shadow (runs both, fails on divergence)")
 	storeDir := flag.String("store-dir", "", "persistent result store directory (tier 2; empty = memory-only caching)")
 	storeShared := flag.String("store-shared-dir", "", "shared result store directory all backends populate (tier 3)")
 	storeMax := flag.Int64("store-max-bytes", 0, "tier-2 store size bound in bytes, LRU-evicted (0 = unbounded)")
 	flag.Parse()
 
-	engine, err := sim.ParseEngine(*engineName)
-	if err != nil {
-		fatal(err)
-	}
-
 	var st *store.Store
 	if *storeDir != "" || *storeShared != "" {
+		var err error
 		st, err = store.Open(store.Config{Dir: *storeDir, SharedDir: *storeShared, MaxBytes: *storeMax})
 		if err != nil {
 			fatal(err)
@@ -80,7 +74,6 @@ func main() {
 		SimDelay:        *simDelay,
 		TimelineQuanta:  *tlQuanta,
 		TimelineWindows: *tlWindows,
-		Engine:          engine,
 		Store:           st,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: s}

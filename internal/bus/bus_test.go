@@ -188,11 +188,18 @@ func TestZeroCapacityFloorViaMaxStretch(t *testing.T) {
 	}
 }
 
-// Property: work conservation — served never exceeds effective
-// capacity by more than the solver tolerance, and never exceeds
-// offered demand.
+// Property: work conservation. Served never exceeds offered demand,
+// and every interior solution is the delay curve's fixed point to
+// within the solver's tolerance. Served stays within effective
+// capacity (plus tolerance) only while the stretch is below the
+// curve's ρ-clamp value: delayCurve caps ρ at 0.999, so once the
+// equilibrium reaches that stretch, threads with low stall fractions
+// barely slow down and the served rate can settle above capacity.
+// That is the model's clamp, not a solver error; the fixed-point
+// identity still holds there.
 func TestWorkConservationProperty(t *testing.T) {
 	m := mustModel(t, DefaultConfig())
+	clampStretch := m.delayCurve(1) // ρ clamped to 0.999
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := int(n%8) + 1
@@ -217,10 +224,16 @@ func TestWorkConservationProperty(t *testing.T) {
 		if out.Served > out.Offered+1e-6 {
 			return false
 		}
-		// On the congested branch the equilibrium may slightly exceed
-		// nominal capacity only via solver tolerance.
-		return float64(out.Served) <= float64(out.EffectiveCapacity)*1.01+1e-6 ||
-			out.Stretch == m.cfg.MaxStretch
+		if out.Stretch > 1 && out.Stretch < m.cfg.MaxStretch {
+			rho := float64(out.Served / out.EffectiveCapacity)
+			if math.Abs(out.Stretch-m.delayCurve(rho)) > 1e-6*out.Stretch {
+				return false
+			}
+		}
+		if out.Stretch < clampStretch*(1-1e-6) {
+			return float64(out.Served) <= float64(out.EffectiveCapacity)*1.01+1e-6
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -31,12 +31,6 @@ type Options struct {
 	// experiment builds. The zero value is inert: no injector is
 	// created and results are identical to a fault-free run.
 	Faults faults.Config
-	// Engine selects the simulation core for every cell: the default
-	// quantum-stepped loop, the event-driven leaping engine, or shadow
-	// mode, which runs both and fails on any divergence. Every cell
-	// carries a scheduler factory, so shadow mode works across the whole
-	// figure grid.
-	Engine sim.EngineKind
 	// PolicyOpts are applied to every bandwidth-aware policy built.
 	PolicyOpts []sched.Option
 	// Workers bounds the parallel runner's worker pool. Zero selects
@@ -70,7 +64,7 @@ func (o Options) seeds() []int64 {
 }
 
 func (o Options) simConfig() sim.Config {
-	return sim.Config{Machine: o.machine(), Sampling: o.Sampling, Faults: o.Faults, Engine: o.Engine}
+	return sim.Config{Machine: o.machine(), Sampling: o.Sampling, Faults: o.Faults}
 }
 
 func (o Options) capacity() units.Rate {

@@ -112,8 +112,8 @@ func SMTStudy(opt Options) ([]SMTRow, error) {
 	var cells []runner.Cell
 	for _, name := range policies {
 		name := name
-		offCfg := sim.Config{Machine: off, Sampling: opt.Sampling, Engine: opt.Engine}
-		onCfg := sim.Config{Machine: on, Sampling: opt.Sampling, Engine: opt.Engine}
+		offCfg := sim.Config{Machine: off, Sampling: opt.Sampling}
+		onCfg := sim.Config{Machine: on, Sampling: opt.Sampling}
 		mkOff := func() (sched.Scheduler, error) { return mkPolicy(name, offCfg, off.NumCPUs) }
 		mkOn := func() (sched.Scheduler, error) { return mkPolicy(name, onCfg, on.NumCPUs) }
 		if _, err := mkOff(); err != nil {

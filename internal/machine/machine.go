@@ -155,7 +155,6 @@ type Machine struct {
 	reqs     []bus.Request
 	grants   []bus.Grant
 	steps    []ThreadStep
-	plan     StretchPlan
 }
 
 // New builds a Machine.

@@ -201,34 +201,6 @@ func (m *Monitor) Poll(now units.Time) (rates [NumEvents]float64, ok bool) {
 	return rates, true
 }
 
-// Resync replaces the monitor's baseline with the counters' current
-// values at simulated time now — exactly the state a successful Poll
-// would have left behind — without deriving rates. The event-driven
-// engine leaps over stretches during which every per-quantum Poll
-// result is known in advance (constant counter deltas); after batching
-// the counter increments it resyncs each monitor so the next real Poll
-// spans one quantum, not the whole stretch.
-func (m *Monitor) Resync(now units.Time) {
-	m.last = Sample{At: now, Values: m.ctr.Snapshot()}
-	m.init = true
-}
-
-// SynthesizeRates computes the per-event rates a fault-free Poll would
-// return for the given counter deltas over elapsed time — the batched
-// sample synthesis used when replaying identical quanta. It mirrors
-// Poll's arithmetic exactly (the same division, in the same order), so
-// a synthesized rate is bitwise equal to the polled one for the same
-// delta. ok is false when no time elapsed, as in Poll.
-func SynthesizeRates(deltas [NumEvents]uint64, elapsed units.Time) (rates [NumEvents]float64, ok bool) {
-	if elapsed <= 0 {
-		return rates, false
-	}
-	for i := range deltas {
-		rates[i] = float64(deltas[i]) / float64(elapsed)
-	}
-	return rates, true
-}
-
 // BusRate is a convenience accessor for the rate array.
 func BusRate(rates [NumEvents]float64) units.Rate {
 	return units.Rate(rates[EventBusTransAny])

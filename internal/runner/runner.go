@@ -40,10 +40,8 @@ type Cell struct {
 	// when NewScheduler is set, in which case the cell builds its
 	// scheduler lazily at run time.
 	Scheduler sched.Scheduler
-	// NewScheduler rebuilds an identical fresh scheduler. It supplies
-	// the Scheduler when that field is nil, and is forwarded to
-	// sim.Config.SchedulerFactory so the shadow engine can run its
-	// second core against an independent but equivalent scheduler.
+	// NewScheduler builds the cell's scheduler lazily, at run time,
+	// when the Scheduler field is nil.
 	NewScheduler func() (sched.Scheduler, error)
 	// Apps is the cell's workload; owned by the cell. The slice is
 	// retained so callers can inspect mutated state (e.g. antagonist
@@ -58,20 +56,14 @@ func (c Cell) run() (sim.Result, error) {
 	if c.Run != nil {
 		return c.Run()
 	}
-	cfg := c.Config
 	s := c.Scheduler
-	if c.NewScheduler != nil {
-		if s == nil {
-			var err error
-			if s, err = c.NewScheduler(); err != nil {
-				return sim.Result{}, err
-			}
-		}
-		if cfg.SchedulerFactory == nil {
-			cfg.SchedulerFactory = c.NewScheduler
+	if s == nil && c.NewScheduler != nil {
+		var err error
+		if s, err = c.NewScheduler(); err != nil {
+			return sim.Result{}, err
 		}
 	}
-	return sim.Run(cfg, s, c.Apps)
+	return sim.Run(c.Config, s, c.Apps)
 }
 
 // CellStat is the run-level record of one executed cell.

@@ -59,11 +59,6 @@ type BandwidthAware struct {
 
 	list jobList
 
-	// lastAllSelected records whether the most recent Schedule call
-	// selected every job on the list — the rotation-preserving case the
-	// Stable contract keys on. Add and Remove invalidate it.
-	lastAllSelected bool
-
 	// Selection scratch, reused every quantum. The selection loop is
 	// O(n²) fitness probes; caching each job's estimator value (and
 	// runnable-thread count and degradation flag) here once per
@@ -233,13 +228,11 @@ func (b *BandwidthAware) Estimator() Estimator { return b.estimator }
 // policy.
 func (b *BandwidthAware) Add(j *Job) {
 	b.list.add(j)
-	b.lastAllSelected = false
 }
 
 // Remove implements Scheduler.
 func (b *BandwidthAware) Remove(j *Job) {
 	b.list.remove(j)
-	b.lastAllSelected = false
 }
 
 // Jobs exposes the current applications list order (head first), for
@@ -414,7 +407,6 @@ func (b *BandwidthAware) Schedule(now units.Time, aff Affinity) []machine.Placem
 		}
 	}
 	selected := b.Select()
-	b.lastAllSelected = len(selected) > 0 && len(selected) == b.list.len()
 	if b.ran == nil {
 		b.ran = make(map[*Job]bool, len(selected))
 	} else {

@@ -14,10 +14,6 @@ type Gang struct {
 	quantum units.Time
 	numCPUs int
 	list    jobList
-
-	// lastAllSelected records whether the most recent Schedule call ran
-	// every job — the rotation-preserving case Stable keys on.
-	lastAllSelected bool
 }
 
 // NewGang builds the gang round-robin ablation scheduler.
@@ -50,13 +46,11 @@ func (g *Gang) Quantum() units.Time { return g.quantum }
 // Add implements Scheduler.
 func (g *Gang) Add(j *Job) {
 	g.list.add(j)
-	g.lastAllSelected = false
 }
 
 // Remove implements Scheduler.
 func (g *Gang) Remove(j *Job) {
 	g.list.remove(j)
-	g.lastAllSelected = false
 }
 
 // Schedule implements Scheduler.
@@ -76,7 +70,6 @@ func (g *Gang) Schedule(now units.Time, aff Affinity) []machine.Placement {
 			break
 		}
 	}
-	g.lastAllSelected = len(selected) > 0 && len(selected) == g.list.len()
 	g.list.rotateToTail(ran)
 	return assignCPUs(selected, aff, g.numCPUs)
 }

@@ -30,10 +30,6 @@ type Optimal struct {
 
 	list    jobList
 	waiting map[*Job]int // quanta since last run
-
-	// lastAllSelected records whether the most recent Schedule call ran
-	// every job — the aging- and rotation-free case Stable keys on.
-	lastAllSelected bool
 }
 
 // NewOptimal builds the model-driven reference policy. The bus
@@ -61,14 +57,12 @@ func (o *Optimal) Quantum() units.Time { return o.quantum }
 func (o *Optimal) Add(j *Job) {
 	o.list.add(j)
 	o.waiting[j] = 0
-	o.lastAllSelected = false
 }
 
 // Remove implements Scheduler.
 func (o *Optimal) Remove(j *Job) {
 	o.list.remove(j)
 	delete(o.waiting, j)
-	o.lastAllSelected = false
 }
 
 // score predicts the weighted progress of running exactly the given
@@ -159,7 +153,6 @@ func (o *Optimal) Schedule(now units.Time, aff Affinity) []machine.Placement {
 			o.waiting[j]++
 		}
 	}
-	o.lastAllSelected = len(best) > 0 && len(best) == o.list.len()
 	o.list.rotateToTail(ran)
 	return assignCPUs(best, aff, o.numCPUs)
 }

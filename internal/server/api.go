@@ -70,9 +70,6 @@ type compiled struct {
 	Key       string
 	Config    sim.Config
 	Scheduler sched.Scheduler
-	// NewScheduler rebuilds an identical fresh scheduler — the shadow
-	// engine's second core runs against its own instance.
-	NewScheduler func() (sched.Scheduler, error)
 	// Apps are fresh instances owned by this request; sim.Run mutates
 	// them, so a compiled request is single-use.
 	Apps  []*workload.App
@@ -144,12 +141,9 @@ func compile(req Request) (*compiled, error) {
 			faultKey(fcfg), scnKey, workload.CanonicalSpec(apps)),
 		Config:    sim.Config{Machine: m, MaxTime: maxTime, Faults: fcfg, Scenario: churn},
 		Scheduler: s,
-		NewScheduler: func() (sched.Scheduler, error) {
-			return newScheduler(policy, m, seed)
-		},
-		Apps:     apps,
-		Trace:    req.Trace,
-		Timeline: req.Timeline,
+		Apps:      apps,
+		Trace:     req.Trace,
+		Timeline:  req.Timeline,
 	}, nil
 }
 

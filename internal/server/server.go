@@ -68,12 +68,6 @@ type Config struct {
 	// Older windows fold into the run summary, keeping memory bounded
 	// at millions of quanta.
 	TimelineWindows int
-	// Engine selects the simulation core for every cell the server
-	// runs: the quantum-stepped reference loop (zero value), the
-	// event-driven leaping engine, or shadow mode, which runs both and
-	// fails the request on any divergence. Responses are identical
-	// under all three, so the cache key deliberately excludes it.
-	Engine sim.EngineKind
 	// Store is the persistent result store behind the in-memory cache
 	// (nil = memory only). A miss on the in-process LRU falls through
 	// to the store's disk and shared tiers before computing, and every
@@ -312,19 +306,16 @@ func (s *Server) submit(c *compiled, deadline time.Time) (<-chan runner.PoolResu
 		c.chromeTrace = &trace.Timeline{NumCPUs: c.Config.Machine.NumCPUs}
 		c.Config.Trace = c.chromeTrace
 	}
-	c.Config.Engine = s.cfg.Engine
 	c.collector = s.newRunCollector(c.Key)
 	c.Config.Timeline = c.collector
 	cell := runner.Cell{
-		Label:        c.Key,
-		Config:       c.Config,
-		Scheduler:    c.Scheduler,
-		NewScheduler: c.NewScheduler,
-		Apps:         c.Apps,
+		Label:     c.Key,
+		Config:    c.Config,
+		Scheduler: c.Scheduler,
+		Apps:      c.Apps,
 	}
 	if hook, delay := s.testRunHook, s.cfg.SimDelay; hook != nil || delay > 0 || !deadline.IsZero() {
 		cfg, sched, apps := cell.Config, cell.Scheduler, cell.Apps
-		cfg.SchedulerFactory = c.NewScheduler
 		cell.Run = func() (sim.Result, error) {
 			if !deadline.IsZero() && !time.Now().Before(deadline) {
 				s.metrics.observeDeadlineShed("dequeue")

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -120,7 +121,8 @@ func TestTurnaroundSubtractsArrival(t *testing.T) {
 
 func TestScenarioDeterministicResults(t *testing.T) {
 	// Same seed + pattern ⇒ identical sim Result, including the full
-	// app list and float fields bitwise (via diffResults).
+	// app list and float fields (%#v prints every distinct float64
+	// distinctly).
 	mk := func() (Result, error) {
 		return Run(Config{
 			Scenario: churn(t, "flashcrowd", "Volrend, CG", 42),
@@ -137,8 +139,8 @@ func TestScenarioDeterministicResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := diffResults(a, b); len(diffs) != 0 {
-		t.Fatalf("same-seed reruns diverge: %v", diffs)
+	if ga, gb := fmt.Sprintf("%#v", a), fmt.Sprintf("%#v", b); ga != gb {
+		t.Fatalf("same-seed reruns diverge:\n%s\n%s", ga, gb)
 	}
 	if a.ScenarioArrivals == 0 {
 		t.Fatal("flashcrowd produced no arrivals")
@@ -159,59 +161,4 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := Run(Config{Scenario: orphan}, sched.NewGang(4), base); err == nil {
 		t.Error("departure of never-arrived instance accepted")
 	}
-}
-
-// TestEventEngineChurnGating covers the satellite contract: leaps are
-// suppressed while any scenario event is outstanding, resume once the
-// mix settles, and the event engine stays bitwise identical to the
-// stepped loop through arrivals and departures.
-func TestEventEngineChurnGating(t *testing.T) {
-	mkSched := func() sched.Scheduler { return sched.NewQuantaWindow(4, units.SustainedBusRate) }
-
-	t.Run("suppressed while churn outstanding", func(t *testing.T) {
-		// The drain departure sits at the 30s horizon, past the base
-		// app's ~12s completion — churn never settles, so the event
-		// engine must step every quantum.
-		cfg := Config{Scenario: churn(t, "step:30s@1", "CG", 1)}
-		res := runBothEngines(t, cfg, mkSched, func() []*workload.App {
-			return []*workload.App{workload.NewApp(profile(t, "Volrend"), "V#1")}
-		})
-		if res.ScenarioArrivals != 1 {
-			t.Fatalf("arrivals = %d, want 1", res.ScenarioArrivals)
-		}
-		if res.LeaptQuanta != 0 {
-			t.Errorf("leapt %d quanta with churn outstanding, want 0", res.LeaptQuanta)
-		}
-	})
-
-	t.Run("resume after mix settles", func(t *testing.T) {
-		// All churn is over by 4s (drain inclusive); the base app has
-		// ~8 more solo seconds during which leaping must resume.
-		cfg := Config{Scenario: churn(t, "step:2s@1; step:2s@0", "CG", 1)}
-		res := runBothEngines(t, cfg, mkSched, func() []*workload.App {
-			return []*workload.App{workload.NewApp(profile(t, "Volrend"), "V#1")}
-		})
-		if res.ScenarioDepartures != 1 {
-			t.Fatalf("departures = %d, want 1", res.ScenarioDepartures)
-		}
-		if res.LeaptQuanta == 0 {
-			t.Error("no leaps after the scenario drained; gating is stuck")
-		}
-	})
-
-	t.Run("shadow zero divergence on churn", func(t *testing.T) {
-		res, err := Run(Config{
-			Engine:   EngineShadow,
-			Scenario: churn(t, "step:3s@2; step:3s@0; step:6s@1", "Volrend, CG", 9),
-			SchedulerFactory: func() (sched.Scheduler, error) {
-				return mkSched(), nil
-			},
-		}, mkSched(), []*workload.App{workload.NewApp(profile(t, "Barnes"), "B#1")})
-		if err != nil {
-			t.Fatalf("shadow divergence on churn scenario: %v", err)
-		}
-		if res.ScenarioArrivals == 0 || res.ScenarioDepartures == 0 {
-			t.Fatalf("scenario inert: %+v", res)
-		}
-	})
 }

@@ -61,23 +61,6 @@ type Config struct {
 	// crashes — so kernel baselines (Linux, RR) are unaffected except
 	// for counter-level faults, which they ignore anyway.
 	Faults faults.Config
-	// Engine selects the execution core: the classic quantum-stepped
-	// loop (the zero value, so existing callers are unchanged), the
-	// event-driven engine that leaps across constant stretches, or
-	// shadow mode, which runs both and diffs every result. See
-	// EngineKind.
-	Engine EngineKind
-	// SchedulerFactory, required for EngineShadow, builds a second
-	// scheduler configured identically to the one passed to Run. The
-	// shadow run drives the event engine with it so the authoritative
-	// scheduler's internal state (sample windows, rotation order, RNG)
-	// is never shared between the two cores.
-	SchedulerFactory func() (sched.Scheduler, error)
-	// ShadowDiffs, when non-nil under EngineShadow, receives one
-	// human-readable line per divergence between the two engines and
-	// Run returns normally; when nil, any divergence is returned as an
-	// error.
-	ShadowDiffs *[]string
 	// Scenario, when non-nil, layers workload churn over the base
 	// apps: the schedule's events submit fresh application instances
 	// mid-run (through the same pending-admission path timed arrivals
@@ -86,10 +69,8 @@ type Config struct {
 	// applications complete; scenario instances that completed
 	// naturally by then are reported in Result.Apps (with their
 	// arrival time), ones retired by a departure or still running are
-	// only counted. The event engine steps, never leaps, while any
-	// scenario event is outstanding — churn is "unstable" — and
-	// resumes leaping once the schedule drains. A nil Scenario is
-	// byte-identical to a build without scenario support.
+	// only counted. A nil Scenario is byte-identical to a build
+	// without scenario support.
 	Scenario *scenario.Schedule
 }
 
@@ -155,10 +136,10 @@ type Result struct {
 	MeanBusUtilization float64
 	// TimedOut reports the MaxTime guard fired before completion.
 	TimedOut bool
-	// LeaptQuanta counts quanta covered by event-engine leaps instead
-	// of stepped execution — always 0 under EngineQuantum. Engine
-	// metadata rather than simulation output, so shadow mode does not
-	// diff it.
+	// LeaptQuanta is always 0: every quantum is stepped.
+	//
+	// Deprecated: kept only so existing benchmark tooling that reads
+	// it still compiles; nothing in the simulator sets it.
 	LeaptQuanta int
 	// FaultStats counts the faults injected into the run (zero when
 	// Config.Faults is disabled).
@@ -217,16 +198,6 @@ type appState struct {
 // Endless applications (the microbenchmarks) run for the duration and
 // are discarded at the end, exactly as the paper's workloads do.
 func Run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
-	if cfg.Engine == EngineShadow {
-		return runShadow(cfg, s, apps)
-	}
-	return run(cfg, s, apps)
-}
-
-// run is the simulation loop shared by both engines: EngineQuantum
-// steps every quantum; EngineEvent additionally leaps across stretches
-// proven constant (see engine.go).
-func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 	if s == nil {
 		return Result{}, errors.New("sim: nil scheduler")
 	}
@@ -322,8 +293,7 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 	// appState admitted through the same path as timed arrivals (so a
 	// t=0 churn event and an Arrived app are indistinguishable to the
 	// scheduler); departures queue up for the loop to pop in time
-	// order. The schedule is read-only — shadow mode runs both cores
-	// against the same one.
+	// order. The schedule is read-only.
 	var depEvents []scenario.Event
 	depIdx := 0
 	byInstance := map[string]*appState{}
@@ -367,21 +337,6 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		}
 	}
 
-	// The event engine may leap only when fault injection is off: every
-	// injector consultation draws from a seeded RNG, so skipping quanta
-	// would shift the draw sequence. This is also the documented
-	// degradation contract — fault runs step every quantum.
-	leapable := cfg.Engine == EngineEvent && inj == nil
-	var finite []*appState
-	var ls leapScratch
-	if leapable {
-		for _, st := range states {
-			if !st.app.Profile.Endless() {
-				finite = append(finite, st)
-			}
-		}
-	}
-
 	var utilSum float64
 	var prevFaults uint64
 	for remaining > 0 {
@@ -405,10 +360,8 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 		pending = kept
 		// Pop due scenario departures. Admission ran first, so a
 		// departing instance is either connected (remove it) or already
-		// completed on its own (a no-op — natural completion wins).
-		// Departures of completed instances are not counted, which
-		// keeps both engines' counters identical even when leapIdle has
-		// jumped the clock past a no-op departure's exact quantum.
+		// completed on its own (a no-op — natural completion wins, and
+		// the departure is not counted).
 		for depIdx < len(depEvents) && depEvents[depIdx].At <= m.Now() {
 			st := byInstance[depEvents[depIdx].Instance]
 			depIdx++
@@ -579,29 +532,6 @@ func run(cfg Config, s sched.Scheduler, apps []*workload.App) (Result, error) {
 				Faults:      int64(tot - prevFaults),
 			})
 			prevFaults = tot
-		}
-
-		// Event engine: the quantum just stepped is the probe that
-		// anchors a stretch. If the scheduler is provably stable, the
-		// machine state replayable and every bandwidth sample a
-		// fixed point, leap across the quanta that would repeat it
-		// bitwise; otherwise this falls through and the loop keeps
-		// stepping. Placed after the timeline record (the probe is
-		// already accounted) and before retirement (a leap ends at or
-		// before any completion, which the block below then handles).
-		if leapable {
-			// Churn gating: a pending arrival or an outstanding departure
-			// event means the mix is still unstable — a leap could carry
-			// the machine past the event. Keep stepping; once the
-			// scenario schedule drains (depIdx catches up and pending
-			// empties) leaps resume for the settled mix.
-			if len(placements) > 0 && len(pending) == 0 && depIdx == len(depEvents) && cfg.ManagerOverhead <= 0 && cfg.Trace == nil {
-				ls.tryLeap(&cfg, s, m, quantum, placements, states, byApp, finite, connected, admitted, &res, &utilSum)
-			} else if len(placements) == 0 && connected == 0 && len(pending) > 0 {
-				if err := leapIdle(&cfg, m, quantum, states, pending, &res); err != nil {
-					return Result{}, err
-				}
-			}
 		}
 
 		// Retire finished applications. Departed instances are out of

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // Window is a fixed-capacity moving window over float64 samples with an
 // O(1) running average. It is the data structure behind the paper's
 // "Quanta Window" policy: the scheduler keeps the last W bus-transaction
@@ -55,36 +53,6 @@ func (w *Window) Push(x float64) {
 	w.mean = w.computeMean()
 }
 
-// PushN is n successive Push(x) calls. When the window is full, at
-// most 64 samples long and every held sample is bitwise x, a Push
-// writes x over x, leaves the recomputed mean unchanged and only moves
-// the write cursor and the incremental sum; PushN then replays just
-// those two instead of recomputing the mean n times. The event-driven
-// engine pushes a steady window's own value once per replayed quantum.
-func (w *Window) PushN(x float64, n int) {
-	if n > 0 && w.n == len(w.buf) && w.n <= 64 && w.allBits(x) {
-		for i := 0; i < n; i++ {
-			w.sum -= x
-			w.sum += x
-		}
-		w.head = (w.head + n) % len(w.buf)
-		return
-	}
-	for ; n > 0; n-- {
-		w.Push(x)
-	}
-}
-
-// allBits reports whether every slot of the buffer holds bitwise x.
-func (w *Window) allBits(x float64) bool {
-	for _, v := range w.buf {
-		if math.Float64bits(v) != math.Float64bits(x) {
-			return false
-		}
-	}
-	return true
-}
-
 // Mean returns the average of the samples currently held, or 0 if the
 // window is empty. The value is the exact summation computed at the
 // last Push (see computeMean), returned in O(1).
@@ -112,28 +80,6 @@ func (w *Window) computeMean() float64 {
 		return s / float64(w.n)
 	}
 	return w.sum / float64(w.n)
-}
-
-// Steady reports whether the window is full and every held sample is
-// bitwise identical, returning that value. A steady window is a fixed
-// point under Push of the same value: the buffer contents, length and
-// recomputed mean are all unchanged (only the write cursor rotates and
-// the incremental sum may drift, neither of which Mean reads at the
-// capacities the schedulers use). The event-driven simulation engine
-// uses this to prove a policy's estimate cannot move across a leap.
-// Windows larger than 64 samples fall back to the drifting incremental
-// sum in computeMean, so they are never reported steady.
-func (w *Window) Steady() (float64, bool) {
-	if w.n == 0 || w.n != len(w.buf) || w.n > 64 {
-		return 0, false
-	}
-	v := w.buf[0]
-	for _, x := range w.buf[1:] {
-		if x != v {
-			return 0, false
-		}
-	}
-	return v, true
 }
 
 // Latest returns the most recently pushed sample, or 0 if empty.
@@ -208,19 +154,6 @@ func (e *EWMA) Push(x float64) {
 		return
 	}
 	e.value = e.Alpha*x + (1-e.Alpha)*e.value
-}
-
-// PushN is n successive Push(x) calls. It stops early once a Push
-// leaves the average bitwise unchanged: from there every further Push
-// of x is a no-op.
-func (e *EWMA) PushN(x float64, n int) {
-	for ; n > 0; n-- {
-		old, wasInit := e.value, e.init
-		e.Push(x)
-		if wasInit && math.Float64bits(e.value) == math.Float64bits(old) {
-			return
-		}
-	}
 }
 
 // Value returns the current average, or 0 before any sample.

@@ -246,64 +246,3 @@ func TestWindowMeanZeroAllocs(t *testing.T) {
 	}
 	_ = sink
 }
-
-// Property: PushN(x, n) leaves a window in exactly the state n Push(x)
-// calls do — buffer, cursor, length, incremental sum and mean, bit for
-// bit — on both its steady fast path (a full window already holding
-// only x) and its fallback, and the EWMA likewise.
-func TestPushNMatchesRepeatedPush(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 500; trial++ {
-		capacity := 1 + rng.Intn(8)
-		if trial%50 == 0 {
-			capacity = 65 + rng.Intn(4) // beyond the exact-summation limit
-		}
-		x := rng.Float64() * 20
-		ref, got := NewWindow(capacity), NewWindow(capacity)
-		for i, pre := 0, rng.Intn(2*capacity+2); i < pre; i++ {
-			// Wide magnitudes leave rounding residue in the incremental
-			// sum, so its per-push drift is visible.
-			v := rng.Float64() * math.Pow(10, float64(rng.Intn(18)))
-			if rng.Intn(2) == 0 {
-				v = x // often steady at x
-			}
-			ref.Push(v)
-			got.Push(v)
-		}
-		if trial%3 == 0 { // make the window steady at x
-			for i := 0; i < capacity; i++ {
-				ref.Push(x)
-				got.Push(x)
-			}
-		}
-		ewmaRef, ewmaGot := EWMA{Alpha: rng.Float64()}, EWMA{Alpha: rng.Float64()}
-		ewmaGot.Alpha = ewmaRef.Alpha
-		if rng.Intn(2) == 0 {
-			v := rng.Float64() * 20
-			ewmaRef.Push(v)
-			ewmaGot.Push(v)
-		}
-
-		n := rng.Intn(40)
-		for i := 0; i < n; i++ {
-			ref.Push(x)
-			ewmaRef.Push(x)
-		}
-		got.PushN(x, n)
-		ewmaGot.PushN(x, n)
-
-		if got.head != ref.head || got.n != ref.n ||
-			math.Float64bits(got.sum) != math.Float64bits(ref.sum) ||
-			math.Float64bits(got.mean) != math.Float64bits(ref.mean) {
-			t.Fatalf("trial %d: window state %+v, want %+v", trial, *got, *ref)
-		}
-		for i := range ref.buf {
-			if math.Float64bits(got.buf[i]) != math.Float64bits(ref.buf[i]) {
-				t.Fatalf("trial %d: buf[%d] = %v, want %v", trial, i, got.buf[i], ref.buf[i])
-			}
-		}
-		if ewmaGot != ewmaRef {
-			t.Fatalf("trial %d: EWMA %+v, want %+v", trial, ewmaGot, ewmaRef)
-		}
-	}
-}

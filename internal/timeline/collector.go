@@ -55,10 +55,6 @@ type Collector struct {
 	sealed  int64    // windows sealed over the collector's lifetime
 	evicted Window   // merged total of windows pushed out of the ring
 	total   Window   // merged total of every sealed window
-
-	// sealScratch carries windows sealed inside one RecordQuanta fold
-	// out of the lock for OnSeal delivery; reused across calls.
-	sealScratch []Window
 }
 
 // New builds a collector, applying defaults and validating cfg.
@@ -105,35 +101,6 @@ func (c *Collector) RecordQuantum(s Sample) {
 
 	if fire && c.cfg.OnSeal != nil {
 		c.cfg.OnSeal(sealed)
-	}
-}
-
-// RecordQuanta folds n consecutive identical quanta: quantum k covers
-// [s.StartUsec + k*s.DurUsec, s.StartUsec + (k+1)*s.DurUsec) and every
-// other field repeats. It is exactly equivalent to n RecordQuantum
-// calls with StartUsec advanced by DurUsec each time — window seals
-// land on the same boundaries and OnSeal fires once per sealed window,
-// in order — but the lock is taken once, which is how the event-driven
-// engine streams a leapt stretch without paying n lock round-trips.
-func (c *Collector) RecordQuanta(s Sample, n int) {
-	if n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	fired := c.sealScratch[:0]
-	for i := 0; i < n; i++ {
-		if sealed, fire := c.foldLocked(s); fire {
-			fired = append(fired, sealed)
-		}
-		s.StartUsec += s.DurUsec
-	}
-	c.sealScratch = fired[:0]
-	c.mu.Unlock()
-
-	if c.cfg.OnSeal != nil {
-		for _, w := range fired {
-			c.cfg.OnSeal(w)
-		}
 	}
 }
 
@@ -269,6 +236,3 @@ func (c *Collector) SaturationThreshold() float64 { return c.cfg.SaturationThres
 
 // QuantaPerWindow reports the window span in quanta (after defaulting).
 func (c *Collector) QuantaPerWindow() int { return c.cfg.QuantaPerWindow }
-
-// Capacity reports the ring size in sealed windows (after defaulting).
-func (c *Collector) Capacity() int { return c.cfg.Capacity }

@@ -189,14 +189,6 @@ func (t *Thread) CurrentPhase() Phase {
 	return t.App.Profile.Phases[t.phaseIdx]
 }
 
-// PhasePos reports the thread's position in its cyclic phase list: the
-// current phase index and the solo-equivalent time consumed within it.
-// The event-driven engine uses it to bound leaps at phase boundaries
-// and to prove gang lockstep.
-func (t *Thread) PhasePos() (idx int, used float64) {
-	return t.phaseIdx, t.phaseUsed
-}
-
 // Demand returns the thread's instantaneous solo bus demand. While a
 // thread is repaying migration debt it runs at memory speed: demand is
 // dominated by the refill stream. A thread spin-waiting at a barrier
@@ -237,12 +229,6 @@ func (t *Thread) AtBarrier() bool {
 	}
 	return t.progress >= t.App.minProgress(t)+float64(interval)
 }
-
-// BarrierHeadroom returns how much further the thread may progress
-// before it would spin at a barrier, or +Inf without barriers — the
-// exported view of barrierCap the event-driven engine bounds leap
-// horizons with.
-func (t *Thread) BarrierHeadroom() float64 { return t.barrierCap() }
 
 // barrierCap returns how much further the thread may progress before
 // spinning, or +Inf without barriers.
@@ -302,19 +288,9 @@ func (t *Thread) Advance(soloUsec float64, wallUsec float64, actualRate units.Ra
 // d instead of added to t.Counters. The machine sums a whole slice's
 // micro-steps this way and flushes once per Step with AddAll; the
 // counters end up bit-identical to per-micro-step Advance calls
-// because each increment is truncated exactly as before and modular
-// addition is associative.
+// because each increment is truncated to an integer on its own and
+// modular addition is associative.
 func (t *Thread) AdvanceInto(d *[perfctr.NumEvents]uint64, soloUsec float64, wallUsec float64, actualRate units.Rate) {
-	t.CountInto(d, wallUsec, actualRate)
-	t.AdvanceWork(soloUsec)
-}
-
-// CountInto adds to d the counter increments of wallUsec of wall-clock
-// execution issuing bus transactions at actualRate: the counter half
-// of AdvanceInto. Each increment is truncated to an integer on its own,
-// so a sum of CountInto calls is exactly what the same sequence of
-// Advance calls adds to the counters.
-func (t *Thread) CountInto(d *[perfctr.NumEvents]uint64, wallUsec float64, actualRate units.Rate) {
 	// Counters reflect wall-clock activity.
 	d[perfctr.EventCycles] += uint64(wallUsec * CPUFrequencyMHz)
 	d[perfctr.EventBusTransAny] += uint64(float64(actualRate) * wallUsec)
@@ -325,15 +301,11 @@ func (t *Thread) CountInto(d *[perfctr.NumEvents]uint64, wallUsec float64, actua
 		d[perfctr.EventL2Refs] += uint64(refs)
 		d[perfctr.EventL2Misses] += uint64(trans)
 	}
+	t.AdvanceWork(soloUsec)
 }
 
 // AdvanceWork is the debt/barrier/progress/phase portion of Advance,
-// without the performance-counter updates. The event-driven simulation
-// engine replays constant stretches with it: counter increments batch
-// exactly across identical quanta (modular addition is associative),
-// but floating-point progress accumulation is not, so the engine
-// repeats precisely these operations micro-step by micro-step to stay
-// bit-identical with stepped execution.
+// without the performance-counter updates.
 func (t *Thread) AdvanceWork(soloUsec float64) {
 	if soloUsec < 0 {
 		soloUsec = 0
@@ -372,49 +344,6 @@ func (t *Thread) AdvanceWork(soloUsec float64) {
 	}
 }
 
-// ReplayAdvance is AdvanceWork's leap-replay fast path: one quantum's
-// micro-step advances, applied back to back. It performs the bitwise-
-// identical floating-point updates for a thread that owes no debt, has
-// not finished, and stays strictly inside its barrier headroom — the
-// preconditions the event engine's leap horizon establishes before
-// replaying a quantum. Skipping the debt, completion and barrier checks
-// (each a guaranteed no-op under those preconditions) removes the
-// sibling scans that would otherwise dominate replay cost, and batching
-// the whole quantum keeps progress and phase position in registers.
-// Batching across threads is sound because a replayed advance touches
-// only the thread's own state: per-thread float sequences are
-// independent, so the cross-thread interleaving of the stepped loop
-// does not affect any thread's operation order.
-func (t *Thread) ReplayAdvance(soloPerSub []float64) {
-	progress, used := t.progress, t.phaseUsed
-	phases := t.App.Profile.Phases
-	idx := t.phaseIdx
-	d := float64(phases[idx].Duration)
-	for _, s := range soloPerSub {
-		if s <= 0 {
-			continue
-		}
-		progress += s
-		used += s
-		for used >= d {
-			used -= d
-			idx++
-			if idx == len(phases) {
-				idx = 0
-			}
-			d = float64(phases[idx].Duration)
-		}
-	}
-	t.progress, t.phaseUsed, t.phaseIdx = progress, used, idx
-}
-
-// FollowReplay sets the state ReplayAdvance writes — progress and
-// phase position — to src's. A sibling that starts a replayed quantum
-// in src's state and receives the same advances would end it there.
-func (t *Thread) FollowReplay(src *Thread) {
-	t.progress, t.phaseUsed, t.phaseIdx = src.progress, src.phaseUsed, src.phaseIdx
-}
-
 // App is one running instance of a Profile.
 type App struct {
 	Profile  Profile
@@ -445,18 +374,6 @@ func NewApp(p Profile, instance string) *App {
 		a.Threads[i] = &Thread{App: a, Index: i}
 	}
 	return a
-}
-
-// CloneFresh returns a pristine copy of the app: same profile,
-// instance name and arrival time, with zeroed progress and counters —
-// exactly what NewApp would have produced for the same inputs.
-// Run-time state accumulated so far is deliberately not copied; the
-// shadow engine uses CloneFresh before any quantum has run to execute
-// the same workload on both simulation cores.
-func (a *App) CloneFresh() *App {
-	c := NewApp(a.Profile, a.Instance)
-	c.Arrived = a.Arrived
-	return c
 }
 
 // minProgress returns the smallest progress among the app's threads
@@ -511,8 +428,7 @@ func (a *App) MarkDeparted(now units.Time) {
 	}
 }
 
-// IsDeparted reports whether MarkDeparted has run. CloneFresh resets
-// it along with the rest of the run-time state.
+// IsDeparted reports whether MarkDeparted has run.
 func (a *App) IsDeparted() bool { return a.departed }
 
 // Turnaround returns completion minus arrival; zero if not completed.
