@@ -17,8 +17,9 @@ var benchReqs = []Request{
 }
 
 // BenchmarkBusAllocate measures the steady-state equilibrium cost:
-// after the first solve the vector repeats, so this is the memoized
-// replay path the simulator's micro-step loop lives on.
+// after the first solve the vector repeats, so this is the memo hit
+// path — slot lookup, exact compare, grants recomputed from the stored
+// stretch — that every new request vector of a run pays.
 func BenchmarkBusAllocate(b *testing.B) {
 	m, err := New(DefaultConfig())
 	if err != nil {
@@ -32,9 +33,10 @@ func BenchmarkBusAllocate(b *testing.B) {
 	}
 }
 
-// BenchmarkBusAllocateCold measures the uncached fixed-point solve by
-// perturbing one demand every iteration so no vector ever repeats
-// within the LRU bound.
+// BenchmarkBusAllocateCold measures the fixed-point solve by perturbing
+// one demand every iteration. The perturbation cycles through 100000
+// vectors, about 24 per memo slot, so by the time a vector repeats its
+// slot has almost always been overwritten and the call re-solves.
 func BenchmarkBusAllocateCold(b *testing.B) {
 	m, err := New(DefaultConfig())
 	if err != nil {
@@ -51,8 +53,8 @@ func BenchmarkBusAllocateCold(b *testing.B) {
 }
 
 // BenchmarkBusAllocateHitRotating cycles through four resident
-// 4-request vectors, so every call is a cache hit but never on the most
-// recent entry: the hashed lookup and the exact vector comparison are
+// 4-request vectors, so every call is a memo hit on a different slot
+// than the last: the hashed lookup and the exact vector comparison are
 // what it measures.
 func BenchmarkBusAllocateHitRotating(b *testing.B) {
 	m, err := New(DefaultConfig())

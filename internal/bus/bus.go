@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"busaware/internal/units"
 )
@@ -102,8 +101,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate reports configuration errors.
+// Validate reports configuration errors. Every field must be finite:
+// a NaN fails each ordered comparison below, so it would otherwise
+// pass silently.
 func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"capacity", float64(c.Capacity)},
+		{"arbitration penalty", c.ArbPenalty},
+		{"min capacity fraction", c.MinCapacityFrac},
+		{"queue factor", c.QueueFactor},
+		{"curve exponent", c.CurveExponent},
+		{"max stretch", c.MaxStretch},
+		{"master threshold", float64(c.MasterThreshold)},
+		{"unfairness", c.Unfairness},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("bus: %s %v is not finite", f.name, f.v)
+		}
+	}
 	if c.Capacity <= 0 {
 		return errors.New("bus: capacity must be positive")
 	}
@@ -170,18 +188,14 @@ type Outcome struct {
 
 // Model evaluates bus contention for co-scheduled thread sets.
 //
-// Equilibria are memoized: demands are piecewise-constant across
-// workload phases, so consecutive micro-steps present the same request
-// vector over and over, and each distinct vector's fixed point is
-// solved once and replayed bit-for-bit from a bounded LRU keyed on the
-// exact float64 bits of the requests. Safe for concurrent use.
+// Equilibria are memoized process-wide: demands are piecewise-constant
+// across workload phases, so the same request vectors recur within a
+// run and across runs, and each distinct vector's stretch is solved
+// once and replayed from a table shared by every Model built from an
+// equal Config (cache.go). Safe for concurrent use.
 type Model struct {
-	cfg Config
-
-	mu     sync.Mutex
-	cache  *allocCache
-	hits   uint64
-	misses uint64
+	cfg  Config
+	memo *stretchMemo // nil solves every vector afresh
 }
 
 // New builds a Model, validating cfg.
@@ -189,19 +203,11 @@ func New(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{cfg: cfg, cache: newAllocCache(DefaultCacheSize)}, nil
+	return &Model{cfg: cfg, memo: memoFor(cfg)}, nil
 }
 
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }
-
-// CacheStats reports the equilibrium cache's hit/miss counts and
-// current size, for perf instrumentation.
-func (m *Model) CacheStats() (hits, misses uint64, size int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hits, m.misses, m.cache.Len()
-}
 
 // SaturationKnee is the utilization above which an outcome is labelled
 // saturated.
@@ -226,16 +232,6 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 		return nil, out
 	}
 
-	m.mu.Lock()
-	if e := m.cache.get(reqs); e != nil {
-		m.hits++
-		grants := append(dst[:0], e.grants...)
-		out = e.outcome
-		m.mu.Unlock()
-		return grants, out
-	}
-	m.misses++
-
 	masters := 0
 	var offered units.Rate
 	for _, r := range reqs {
@@ -252,7 +248,11 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 	out.Offered = offered
 
 	dmax := maxDemand(reqs)
-	x := m.solveStretch(reqs, ceff, dmax, offered)
+	x, ok := m.memo.get(reqs)
+	if !ok {
+		x = m.solveStretch(reqs, ceff, dmax, offered)
+		m.memo.put(reqs, x)
+	}
 	out.Stretch = x
 
 	grants := dst[:0]
@@ -268,8 +268,6 @@ func (m *Model) AllocateInto(dst []Grant, reqs []Request) ([]Grant, Outcome) {
 		out.Utilization = float64(served / ceff)
 	}
 	out.Saturated = out.Utilization > SaturationKnee
-	m.cache.put(reqs, append([]Grant(nil), grants...), out)
-	m.mu.Unlock()
 	return grants, out
 }
 
@@ -300,34 +298,43 @@ func maxDemand(reqs []Request) units.Rate {
 // amplifying the stretch for threads lighter than the heaviest
 // co-runner (arbitration unfairness).
 func (m *Model) speedAt(r Request, x float64, dmax units.Rate) float64 {
-	f := r.StallFrac
+	if r.Demand <= 0 {
+		return 1
+	}
+	f, w := m.stallWeight(r, dmax)
+	return speedFW(f, w, x)
+}
+
+// stallWeight returns a request's stall fraction clamped to [0,1] and
+// its unfairness weight 1 + Unfairness*(1 - d/dmax): the parts of
+// speedAt that do not depend on the stretch.
+func (m *Model) stallWeight(r Request, dmax units.Rate) (f, w float64) {
+	f = r.StallFrac
 	if f < 0 {
 		f = 0
 	}
 	if f > 1 {
 		f = 1
 	}
-	if r.Demand <= 0 {
-		return 1
-	}
-	w := 1.0
+	w = 1.0
 	if dmax > 0 && m.cfg.Unfairness > 0 {
 		w = 1 + m.cfg.Unfairness*(1-float64(r.Demand/dmax))
 	}
+	return f, w
+}
+
+// speedFW is the progress fraction at base stretch x of a thread with
+// clamped stall fraction f and unfairness weight w.
+func speedFW(f, w, x float64) float64 {
 	xt := 1 + (x-1)*w
 	return 1 / ((1 - f) + f*xt)
 }
 
-// servedAt sums the achieved transaction rates at stretch x.
-func (m *Model) servedAt(reqs []Request, x float64, dmax units.Rate) units.Rate {
-	var s units.Rate
-	for _, r := range reqs {
-		if r.Demand <= 0 {
-			continue
-		}
-		s += r.Demand * units.Rate(m.speedAt(r, x, dmax))
-	}
-	return s
+// solveTerm holds one positive-demand request's stretch-independent
+// inputs to the served-rate sum.
+type solveTerm struct {
+	demand units.Rate
+	f, w   float64
 }
 
 // delayCurve evaluates the open-loop latency inflation at utilization
@@ -347,7 +354,10 @@ func (m *Model) delayCurve(rho float64) float64 {
 // solveStretch finds the unique fixed point of
 // X = delayCurve(served(X)/ceff) by bisection. F(X) = X - delay(...)
 // is strictly increasing: served falls with X, delay rises with
-// served, so -delay rises with X.
+// served, so -delay rises with X. Each request's clamped stall
+// fraction and unfairness weight are computed once per solve, not once
+// per bisection step; the served sum then runs the same operations on
+// the same values, in the same order, as speedAt does.
 func (m *Model) solveStretch(reqs []Request, ceff, dmax, offered units.Rate) float64 {
 	if ceff <= 0 {
 		return m.cfg.MaxStretch
@@ -359,9 +369,20 @@ func (m *Model) solveStretch(reqs []Request, ceff, dmax, offered units.Rate) flo
 	if offered <= 0 || m.cfg.QueueFactor == 0 {
 		return 1
 	}
+	var buf [8]solveTerm
+	terms := buf[:0]
+	for _, r := range reqs {
+		if r.Demand > 0 {
+			f, w := m.stallWeight(r, dmax)
+			terms = append(terms, solveTerm{demand: r.Demand, f: f, w: w})
+		}
+	}
 	f := func(x float64) float64 {
-		rho := float64(m.servedAt(reqs, x, dmax) / ceff)
-		return x - m.delayCurve(rho)
+		var served units.Rate
+		for _, t := range terms {
+			served += t.demand * units.Rate(speedFW(t.f, t.w, x))
+		}
+		return x - m.delayCurve(float64(served/ceff))
 	}
 	lo, hi := 1.0, m.cfg.MaxStretch
 	if f(lo) >= 0 {

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -42,6 +43,36 @@ func TestConfigValidate(t *testing.T) {
 				t.Errorf("New err = %v, want ok=%v", err, tc.ok)
 			}
 		})
+	}
+}
+
+// Every float field must be finite: a NaN fails each ordered
+// comparison in Validate, so before the explicit check it passed and
+// the solver silently returned a stretch of ~1.
+func TestConfigValidateRejectsNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"Capacity", func(c *Config, v float64) { c.Capacity = units.Rate(v) }},
+		{"ArbPenalty", func(c *Config, v float64) { c.ArbPenalty = v }},
+		{"MinCapacityFrac", func(c *Config, v float64) { c.MinCapacityFrac = v }},
+		{"QueueFactor", func(c *Config, v float64) { c.QueueFactor = v }},
+		{"CurveExponent", func(c *Config, v float64) { c.CurveExponent = v }},
+		{"MaxStretch", func(c *Config, v float64) { c.MaxStretch = v }},
+		{"MasterThreshold", func(c *Config, v float64) { c.MasterThreshold = units.Rate(v) }},
+		{"Unfairness", func(c *Config, v float64) { c.Unfairness = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			t.Run(fmt.Sprintf("%s=%v", f.name, v), func(t *testing.T) {
+				cfg := DefaultConfig()
+				f.set(&cfg, v)
+				if err := cfg.Validate(); err == nil {
+					t.Error("non-finite field accepted")
+				}
+			})
+		}
 	}
 }
 

@@ -1,41 +1,82 @@
 package bus
 
-import "math"
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
 
-// DefaultCacheSize bounds the equilibrium cache. Workload demands are
-// piecewise-constant across phases, so the set of distinct request
-// vectors a run presents is small (co-scheduled phase combinations);
-// a few hundred entries covers even the robustness sweeps while
-// keeping memory flat over 9000-quantum runs.
-const DefaultCacheSize = 512
+// memoBits sizes each stretch memo at memoSlots = 4096 slots. Workload
+// demands are piecewise-constant across phases, so a whole figure
+// sweep presents about eleven thousand distinct request vectors; 4096
+// direct-mapped slots keep the hot ones resident while bounding a
+// table at 32 KiB of slot pointers plus one small entry per slot.
+const (
+	memoBits  = 12
+	memoSlots = 1 << memoBits
+)
 
-// allocEntry is one memoized equilibrium: the exact grants and outcome
-// computed for one request vector. Entries form a doubly-linked list
-// in recency order (head = most recently used).
-type allocEntry struct {
-	hash       uint64
-	reqs       []Request // private copy, compared bit for bit
-	grants     []Grant
-	outcome    Outcome
-	prev, next *allocEntry
+// memoEntry is one solved equilibrium: a private copy of the exact
+// request vector and the stretch the bisection found for it. It is
+// immutable once published. The grants and the Outcome are not stored:
+// AllocateInto recomputes them from (reqs, x) with the same code as
+// after a solve, so a hit is bit-identical by construction.
+type memoEntry struct {
+	reqs []Request
+	x    float64
 }
 
-// allocCache is a bounded LRU over exact request vectors. The map is
-// keyed on a 64-bit hash of the raw IEEE-754 bits of every (Demand,
-// StallFrac) pair, and a lookup confirms the hit by comparing the
-// stored vector bit for bit, so a hit replays the bit-identical grants
-// of the original solve — no warm-start approximation, no tolerance,
-// no drift. Two vectors that share a hash evict each other, which
-// costs a re-solve and never a wrong answer. Not safe for concurrent
-// use; the owning Model serializes access.
-type allocCache struct {
-	limit      int
-	entries    map[uint64]*allocEntry
-	head, tail *allocEntry
+// stretchMemo is a direct-mapped table of solved stretches, shared by
+// every Model built from an equal Config. A slot is chosen by a hash of
+// the raw IEEE-754 bits of every (Demand, StallFrac) pair, and a lookup
+// confirms the hit by comparing the stored vector bit for bit. A
+// colliding vector overwrites the slot: that costs a re-solve, never a
+// wrong answer. Reads take no lock; each slot is an atomic pointer to
+// an immutable entry.
+type stretchMemo struct {
+	slots [memoSlots]atomic.Pointer[memoEntry]
 }
 
-func newAllocCache(limit int) *allocCache {
-	return &allocCache{limit: limit, entries: make(map[uint64]*allocEntry)}
+// memos maps each Config to its stretch memo, process-wide.
+var memos sync.Map // Config -> *stretchMemo
+
+// memoFor returns the shared memo for cfg. The plain Load comes first
+// so that building a Model for an already-seen Config allocates no
+// table. cfg must be valid: a NaN field would never equal itself, and
+// every call would then get a fresh table.
+func memoFor(cfg Config) *stretchMemo {
+	if v, ok := memos.Load(cfg); ok {
+		return v.(*stretchMemo)
+	}
+	v, _ := memos.LoadOrStore(cfg, new(stretchMemo))
+	return v.(*stretchMemo)
+}
+
+// slot returns the slot reqs maps to.
+func (t *stretchMemo) slot(reqs []Request) *atomic.Pointer[memoEntry] {
+	return &t.slots[hashReqs(reqs)>>(64-memoBits)]
+}
+
+// get returns the memoized stretch for reqs, if its slot holds it. A
+// nil memo holds nothing.
+func (t *stretchMemo) get(reqs []Request) (float64, bool) {
+	if t == nil {
+		return 0, false
+	}
+	e := t.slot(reqs).Load()
+	if e == nil || !SameRequests(e.reqs, reqs) {
+		return 0, false
+	}
+	return e.x, true
+}
+
+// put publishes x as the stretch for a private copy of reqs,
+// replacing whatever the slot held. On a nil memo it does nothing.
+func (t *stretchMemo) put(reqs []Request, x float64) {
+	if t == nil {
+		return
+	}
+	t.slot(reqs).Store(&memoEntry{reqs: append([]Request(nil), reqs...), x: x})
 }
 
 // hashReqs mixes the exact float64 bit patterns of reqs, in order.
@@ -53,9 +94,10 @@ func mix64(x uint64) uint64 {
 	return x ^ x>>32
 }
 
-// sameBits reports whether a and b hold bit-for-bit equal requests, in
-// order.
-func sameBits(a, b []Request) bool {
+// SameRequests reports whether a and b hold bit-for-bit equal
+// requests, in order: the equality under which Allocate's answer is
+// guaranteed to repeat.
+func SameRequests(a, b []Request) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -66,73 +108,4 @@ func sameBits(a, b []Request) bool {
 		}
 	}
 	return true
-}
-
-// get returns the entry for reqs and promotes it to most-recent, or
-// nil. Consecutive micro-steps usually repeat one vector, so the
-// most recent entry is checked before hashing.
-func (c *allocCache) get(reqs []Request) *allocEntry {
-	if c.head != nil && sameBits(c.head.reqs, reqs) {
-		return c.head
-	}
-	e := c.entries[hashReqs(reqs)]
-	if e == nil || !sameBits(e.reqs, reqs) {
-		return nil
-	}
-	c.moveToFront(e)
-	return e
-}
-
-// put inserts a new entry for reqs, replacing an entry with the same
-// hash and otherwise evicting the least recently used entry once the
-// cache is full. grants must be a private copy.
-func (c *allocCache) put(reqs []Request, grants []Grant, out Outcome) {
-	h := hashReqs(reqs)
-	old := c.entries[h]
-	if old == nil && len(c.entries) >= c.limit {
-		old = c.tail
-		delete(c.entries, old.hash)
-	}
-	if old != nil {
-		c.unlink(old)
-	}
-	e := &allocEntry{hash: h, reqs: append([]Request(nil), reqs...), grants: grants, outcome: out}
-	c.entries[h] = e
-	c.pushFront(e)
-}
-
-// Len returns the number of cached equilibria.
-func (c *allocCache) Len() int { return len(c.entries) }
-
-func (c *allocCache) pushFront(e *allocEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *allocCache) moveToFront(e *allocEntry) {
-	if c.head != e {
-		c.unlink(e)
-		c.pushFront(e)
-	}
-}
-
-// unlink removes e from the recency list; the map entry stays.
-func (c *allocCache) unlink(e *allocEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
 }

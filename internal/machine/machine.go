@@ -143,7 +143,6 @@ type Machine struct {
 	cfg        Config
 	busModel   *bus.Model
 	now        units.Time
-	lastCPU    map[*workload.Thread]int
 	lastThread []*workload.Thread // per-CPU most recent occupant
 	busyTime   []units.Time       // per-CPU accumulated busy time
 
@@ -152,9 +151,23 @@ type Machine struct {
 	cpuUsed  []bool
 	busyCore []int
 	deltas   [][perfctr.NumEvents]uint64 // per-placement counter increments
-	reqs     []bus.Request
+	reqs     []bus.Request               // this micro-step's request vector
+	prevReqs []bus.Request               // the vector the slots were built for
 	grants   []bus.Grant
+	slots    []microSlot
 	steps    []ThreadStep
+}
+
+// microSlot is one placement's effect per micro-step under one bus
+// grant and one micro-step length: the solo-equivalent advance, the
+// four counter increments (each truncated on its own, as Advance
+// does), and the Speed and Rate accumulation terms. Step builds the
+// slots when the bus answer changes and replays them while it repeats.
+type microSlot struct {
+	solo   float64
+	counts [perfctr.NumEvents]uint64
+	speedW float64
+	rateW  units.Rate
 }
 
 // New builds a Machine.
@@ -172,14 +185,15 @@ func New(cfg Config) (*Machine, error) {
 	return &Machine{
 		cfg:        cfg,
 		busModel:   bm,
-		lastCPU:    make(map[*workload.Thread]int),
 		lastThread: make([]*workload.Thread, cfg.NumCPUs),
 		busyTime:   make([]units.Time, cfg.NumCPUs),
 		cpuUsed:    make([]bool, cfg.NumCPUs),
 		busyCore:   make([]int, (cfg.NumCPUs+1)/2),
 		deltas:     make([][perfctr.NumEvents]uint64, cfg.NumCPUs),
 		reqs:       make([]bus.Request, 0, cfg.NumCPUs),
+		prevReqs:   make([]bus.Request, 0, cfg.NumCPUs),
 		grants:     make([]bus.Grant, 0, cfg.NumCPUs),
+		slots:      make([]microSlot, cfg.NumCPUs),
 		steps:      make([]ThreadStep, 0, cfg.NumCPUs),
 	}, nil
 }
@@ -204,12 +218,7 @@ func (m *Machine) AppendBusyTime(dst []units.Time) []units.Time {
 }
 
 // LastCPU returns where the thread last ran, or -1 if it never ran.
-func (m *Machine) LastCPU(t *workload.Thread) int {
-	if cpu, ok := m.lastCPU[t]; ok {
-		return cpu
-	}
-	return -1
-}
+func (m *Machine) LastCPU(t *workload.Thread) int { return t.LastCPU() }
 
 // Step runs the given placements for dt of wall-clock time. Placements
 // must reference distinct CPUs within range and distinct, unfinished
@@ -253,14 +262,14 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	}
 	for i, p := range placements {
 		res.Threads[i] = ThreadStep{Thread: p.Thread, CPU: p.CPU}
-		last, ran := m.lastCPU[p.Thread]
+		last := p.Thread.LastCPU()
 		switch {
-		case ran && last != p.CPU:
+		case last >= 0 && last != p.CPU:
 			// Full migration: the working set must be rebuilt.
 			p.Thread.Migrate(m.cfg.L2.LineSize)
 			res.Threads[i].Migrated = true
 			res.Migrations++
-		case ran && m.lastThread[p.CPU] != p.Thread:
+		case last >= 0 && m.lastThread[p.CPU] != p.Thread:
 			// Resuming on its own processor after someone else used
 			// it: partial working-set refill.
 			p.Thread.AddDebt(m.cfg.PollutionFrac * float64(p.Thread.App.Profile.MigrationPenalty))
@@ -268,7 +277,7 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		if m.lastThread[p.CPU] != p.Thread {
 			res.ContextSwitches++
 		}
-		m.lastCPU[p.Thread] = p.CPU
+		p.Thread.SetLastCPU(p.CPU)
 		m.lastThread[p.CPU] = p.Thread
 		m.busyTime[p.CPU] += dt
 	}
@@ -294,13 +303,21 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	remaining := dt
 	var utilSum float64
 	var servedSum units.Rate
-	reqs := m.reqs[:len(placements)] // cap is NumCPUs >= len(placements)
+	// cap is NumCPUs >= len(placements) for all three.
+	reqs, prev := m.reqs[:len(placements)], m.prevReqs[:len(placements)]
+	slots := m.slots[:len(placements)]
 	// Counter increments are summed per placement across the micro-steps
 	// and flushed once below. Nothing reads the counters inside a Step,
 	// and the modular sum of the same truncated increments is the same,
 	// so the flush is exact.
 	deltas := m.deltas[:len(placements)]
 	clear(deltas)
+	// The slots are a function of the grants, the micro-step length, dt
+	// and the SMT core occupancy. The last three are fixed within a Step
+	// but not across Steps, so slotSub = 0 (no micro-step is that short)
+	// invalidates them at the start of every Step.
+	var slotSub units.Time
+	var out bus.Outcome
 	for s := 0; s < steps; s++ {
 		sub := m.cfg.MicroStep
 		if sub > remaining {
@@ -311,28 +328,35 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 		}
 		remaining -= sub
 		for i, p := range placements {
-			reqs[i] = bus.Request{Demand: p.Thread.Demand(), StallFrac: p.Thread.StallFrac()}
+			d, f := p.Thread.DemandStall()
+			reqs[i] = bus.Request{Demand: d, StallFrac: f}
 		}
-		grants, out := m.busModel.AllocateInto(m.grants, reqs)
-		m.grants = grants[:0]
-		for i, p := range placements {
-			g := grants[i]
-			speed := g.Speed
-			if m.cfg.SMTSiblings == 2 && busyCore[p.CPU/2] > 1 {
-				// Both logical siblings of this core are busy: they
-				// share the core's execution resources.
-				speed *= m.cfg.SMTEfficiency
+		// The bus model is a pure function of the request vector, so an
+		// unchanged vector and length reuse the previous micro-step's
+		// outcome and slots bit for bit.
+		if sub != slotSub || !bus.SameRequests(reqs, prev) {
+			var grants []bus.Grant
+			grants, out = m.busModel.AllocateInto(m.grants, reqs)
+			m.grants = grants[:0]
+			for i, p := range placements {
+				slots[i] = m.slot(p, grants[i], sub, dt, busyCore)
 			}
-			wall := float64(sub)
-			p.Thread.AdvanceInto(&deltas[i], wall*speed, wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12)))
-			w := float64(sub) / float64(dt)
-			res.Threads[i].Speed += speed * w
-			res.Threads[i].Rate += g.Rate * units.Rate(w*speed/maxf(g.Speed, 1e-12))
+			slotSub = sub
+			reqs, prev = prev, reqs
+		}
+		for i, p := range placements {
+			sl := &slots[i]
+			for k, n := range sl.counts {
+				deltas[i][k] += n
+			}
+			p.Thread.AdvanceWork(sl.solo)
+			res.Threads[i].Speed += sl.speedW
+			res.Threads[i].Rate += sl.rateW
 		}
 		utilSum += out.Utilization
 		servedSum += out.Served
-		res.Outcome = out
 	}
+	res.Outcome = out
 	for i, p := range placements {
 		p.Thread.Counters.AddAll(deltas[i])
 	}
@@ -340,6 +364,25 @@ func (m *Machine) Step(placements []Placement, dt units.Time) (StepResult, error
 	res.MeanServed = servedSum / units.Rate(steps)
 	m.now += dt
 	return res, nil
+}
+
+// slot computes placement p's per-micro-step effect under grant g for a
+// micro-step of length sub within a Step of length dt.
+func (m *Machine) slot(p Placement, g bus.Grant, sub, dt units.Time, busyCore []int) microSlot {
+	speed := g.Speed
+	if m.cfg.SMTSiblings == 2 && busyCore[p.CPU/2] > 1 {
+		// Both logical siblings of this core are busy: they share the
+		// core's execution resources.
+		speed *= m.cfg.SMTEfficiency
+	}
+	wall := float64(sub)
+	w := float64(sub) / float64(dt)
+	return microSlot{
+		solo:   wall * speed,
+		counts: p.Thread.CounterDeltas(wall, g.Rate*units.Rate(speed/maxf(g.Speed, 1e-12))),
+		speedW: speed * w,
+		rateW:  g.Rate * units.Rate(w*speed/maxf(g.Speed, 1e-12)),
+	}
 }
 
 func maxf(a, b float64) float64 {

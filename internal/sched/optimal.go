@@ -33,7 +33,9 @@ type Optimal struct {
 }
 
 // NewOptimal builds the model-driven reference policy. The bus
-// configuration should match the machine the workload runs on.
+// configuration should match the machine the workload runs on; the
+// model then shares the machine's process-wide equilibrium memo, so a
+// candidate co-schedule the machine has already run costs no solve.
 func NewOptimal(numCPUs int, busCfg bus.Config) (*Optimal, error) {
 	m, err := bus.New(busCfg)
 	if err != nil {
@@ -78,7 +80,8 @@ func (o *Optimal) score(subset []*Job) float64 {
 			if t.Done() {
 				continue
 			}
-			reqs = append(reqs, bus.Request{Demand: t.Demand(), StallFrac: t.StallFrac()})
+			d, f := t.DemandStall()
+			reqs = append(reqs, bus.Request{Demand: d, StallFrac: f})
 			weights = append(weights, w)
 		}
 	}

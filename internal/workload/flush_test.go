@@ -10,13 +10,13 @@ import (
 	"busaware/internal/units"
 )
 
-// Property: summing a slice's micro-step counter increments with
-// AdvanceInto and flushing them once with AddAll — what the machine's
-// Step does — leaves the counters, the thread state and every
-// Monitor.Poll rate bitwise equal to calling Advance per micro-step.
-// Counters start a few increments below the hardware wrap, so the
-// flushed sums cross it.
-func TestAdvanceIntoFlushMatchesAdvance(t *testing.T) {
+// Property: summing a slice's micro-step CounterDeltas, advancing the
+// work with AdvanceWork, and flushing the sums once with AddAll — what
+// the machine's Step does — leaves the counters, the thread state and
+// every Monitor.Poll rate bitwise equal to calling Advance per
+// micro-step. Counters start a few increments below the hardware wrap,
+// so the flushed sums cross it.
+func TestCounterDeltasFlushMatchesAdvance(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	wrap := uint64(1) << perfctr.CounterBits
 	wrapped := false
@@ -58,7 +58,10 @@ func TestAdvanceIntoFlushMatchesAdvance(t *testing.T) {
 				rate := units.Rate(rng.Float64() * 30)
 				solo := float64(wall) * rng.Float64()
 				ref.Advance(solo, float64(wall), rate)
-				bat.AdvanceInto(&d, solo, float64(wall), rate)
+				for k, n := range bat.CounterDeltas(float64(wall), rate) {
+					d[k] += n
+				}
+				bat.AdvanceWork(solo)
 				now += wall
 			}
 			bat.Counters.AddAll(d)

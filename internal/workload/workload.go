@@ -150,6 +150,10 @@ type Thread struct {
 	progress  float64 // total solo usec of real work completed
 	debt      float64 // migration penalty work still owed
 	spun      float64 // solo-equivalent usec wasted spinning at barriers
+
+	// lastCPU is the processor the machine last ran the thread on,
+	// plus one; zero means the thread has not run yet.
+	lastCPU int
 }
 
 // CPUFrequencyMHz converts simulated time to cycle counts for the
@@ -189,30 +193,34 @@ func (t *Thread) CurrentPhase() Phase {
 	return t.App.Profile.Phases[t.phaseIdx]
 }
 
-// Demand returns the thread's instantaneous solo bus demand. While a
-// thread is repaying migration debt it runs at memory speed: demand is
-// dominated by the refill stream. A thread spin-waiting at a barrier
-// hits in cache and issues almost nothing.
+// LastCPU returns the processor the thread last ran on, or -1 if it
+// has not run yet.
+func (t *Thread) LastCPU() int { return t.lastCPU - 1 }
+
+// SetLastCPU records that the thread ran on processor cpu.
+func (t *Thread) SetLastCPU(cpu int) { t.lastCPU = cpu + 1 }
+
+// Demand returns the thread's instantaneous solo bus demand.
 func (t *Thread) Demand() units.Rate {
-	if t.debt > 0 {
-		// Refilling the working set streams lines from memory.
-		return maxRate(t.CurrentPhase().Demand, RefillDemand)
-	}
-	if t.AtBarrier() {
-		return SpinDemand
-	}
-	return t.CurrentPhase().Demand
+	d, _ := t.DemandStall()
+	return d
 }
 
-// StallFrac returns the thread's instantaneous stall fraction.
-func (t *Thread) StallFrac() float64 {
+// DemandStall returns the thread's instantaneous solo bus demand and
+// stall fraction with one phase and barrier lookup. While a thread is
+// repaying migration debt it runs at memory speed: demand is dominated
+// by the refill stream. A thread spin-waiting at a barrier hits in
+// cache and issues almost nothing.
+func (t *Thread) DemandStall() (units.Rate, float64) {
+	ph := &t.App.Profile.Phases[t.phaseIdx]
 	if t.debt > 0 {
-		return maxf(t.CurrentPhase().StallFrac, RefillStallFrac)
+		// Refilling the working set streams lines from memory.
+		return maxRate(ph.Demand, RefillDemand), maxf(ph.StallFrac, RefillStallFrac)
 	}
 	if t.AtBarrier() {
-		return 0
+		return SpinDemand, 0
 	}
-	return t.CurrentPhase().StallFrac
+	return ph.Demand, ph.StallFrac
 }
 
 // SpinDemand is the bus demand of a thread spinning on a cached
@@ -279,29 +287,29 @@ func (t *Thread) Debt() float64 { return t.debt }
 // counters with the transactions issued at rate actualRate (the bus
 // grant) over wallUsec of wall-clock time.
 func (t *Thread) Advance(soloUsec float64, wallUsec float64, actualRate units.Rate) {
-	var d [perfctr.NumEvents]uint64
-	t.AdvanceInto(&d, soloUsec, wallUsec, actualRate)
-	t.Counters.AddAll(d)
+	t.Counters.AddAll(t.CounterDeltas(wallUsec, actualRate))
+	t.AdvanceWork(soloUsec)
 }
 
-// AdvanceInto is Advance with the counter increments accumulated into
-// d instead of added to t.Counters. The machine sums a whole slice's
-// micro-steps this way and flushes once per Step with AddAll; the
-// counters end up bit-identical to per-micro-step Advance calls
-// because each increment is truncated to an integer on its own and
-// modular addition is associative.
-func (t *Thread) AdvanceInto(d *[perfctr.NumEvents]uint64, soloUsec float64, wallUsec float64, actualRate units.Rate) {
+// CounterDeltas returns the counter increments of running for wallUsec
+// of wall-clock time at transaction rate actualRate, each truncated to
+// an integer on its own. The machine sums a whole slice's micro-steps
+// of these and flushes once per Step with AddAll; the counters end up
+// bit-identical to per-micro-step Advance calls because modular
+// addition is associative.
+func (t *Thread) CounterDeltas(wallUsec float64, actualRate units.Rate) [perfctr.NumEvents]uint64 {
+	var d [perfctr.NumEvents]uint64
 	// Counters reflect wall-clock activity.
-	d[perfctr.EventCycles] += uint64(wallUsec * CPUFrequencyMHz)
-	d[perfctr.EventBusTransAny] += uint64(float64(actualRate) * wallUsec)
+	d[perfctr.EventCycles] = uint64(wallUsec * CPUFrequencyMHz)
+	d[perfctr.EventBusTransAny] = uint64(float64(actualRate) * wallUsec)
 	miss := 1 - t.App.Profile.WorkingSet.HitRate
 	if miss > 0 {
 		trans := float64(actualRate) * wallUsec
 		refs := trans / miss
-		d[perfctr.EventL2Refs] += uint64(refs)
-		d[perfctr.EventL2Misses] += uint64(trans)
+		d[perfctr.EventL2Refs] = uint64(refs)
+		d[perfctr.EventL2Misses] = uint64(trans)
 	}
-	t.AdvanceWork(soloUsec)
+	return d
 }
 
 // AdvanceWork is the debt/barrier/progress/phase portion of Advance,
