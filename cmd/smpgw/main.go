@@ -1,14 +1,15 @@
 // Command smpgw fronts a fleet of smpsimd backends with a
 // consistent-hash gateway: requests are sharded by the canonical
 // request key (the same identity the backends' response caches use),
-// so each backend's cache stays hot for its shard; unhealthy backends
-// are ejected by /healthz probing and re-admitted when they recover;
-// connection errors fail over to the next ring node; and backend 429s
-// are retried after honoring Retry-After before being passed through.
+// so each backend's cache stays hot for its shard; connection errors
+// fail over to the next ring node; and backend 429s are retried after
+// honoring Retry-After before being passed through.
 //
-// The forwarding path is chaos-hardened: each backend sits behind a
-// circuit breaker (consecutive failures or a high windowed error rate
-// open it; after a cooldown one trial request probes recovery), all
+// The forwarding path is chaos-hardened: each backend's only health
+// state is a circuit breaker (consecutive failures, a high windowed
+// error rate or a refused dial open it; after a cooldown one trial —
+// a request or a /healthz probe — tests recovery, and each failed
+// trial doubles the cooldown up to 16×), all
 // retries and hedges draw from a global sliding-window retry budget
 // (exhaustion fails fast with 503 and X-Retry-Budget: exhausted
 // instead of amplifying load), slow attempts are hedged to another
@@ -47,12 +48,11 @@ func main() {
 	replicas := flag.Int("replicas", 0, "virtual nodes per backend on the hash ring (0 = 128)")
 	probe := flag.Duration("probe", 2*time.Second, "backend /healthz probe interval")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "per-probe timeout")
-	probeFailures := flag.Int("probe-failures", 2, "consecutive probe failures before ejection")
 	retry429 := flag.Int("retry-429", 2, "times a backend 429 is retried (honoring Retry-After) before passing it through")
 	maxRetryAfter := flag.Duration("max-retry-after", 5*time.Second, "cap on one honored Retry-After hint")
 	drain := flag.Duration("drain", 30*time.Second, "shutdown drain budget for in-flight requests")
-	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures tripping a backend's circuit breaker (0 = 5, negative = disabled)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-state cooldown before a breaker probes with one trial request (0 = 2s)")
+	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures tripping a backend's circuit breaker (0 = 5)")
+	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-state cooldown before a breaker admits one trial request or probe, doubled per failed trial up to 16x (0 = 2s)")
 	retryBudget := flag.Float64("retry-budget", 0, "retries allowed per request over a sliding window (0 = 0.5, negative = unlimited)")
 	retryBudgetFloor := flag.Int("retry-budget-floor", 0, "minimum retries always allowed per window regardless of volume (0 = 16)")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "per-attempt upstream timeout, the hard bound on a blackholed backend (0 = 15s, negative = unbounded)")
@@ -70,7 +70,6 @@ func main() {
 		Replicas:      *replicas,
 		ProbeInterval: *probe,
 		ProbeTimeout:  *probeTimeout,
-		ProbeFailures: *probeFailures,
 		Retry429:      *retry429,
 		MaxRetryAfter: *maxRetryAfter,
 

@@ -42,8 +42,8 @@ type errMembership string
 
 func (e errMembership) Error() string { return string(e) }
 
-// AddBackend joins addr to the ring. The new backend starts healthy
-// and owns only the keys consistent hashing assigns it; every other
+// AddBackend joins addr to the ring. The new backend starts with a
+// closed breaker and owns only the keys consistent hashing assigns it; every other
 // shard's routing is untouched.
 func (g *Gateway) AddBackend(addr string) error {
 	addr, err := validateBackendAddr(addr)
@@ -154,7 +154,7 @@ func (g *Gateway) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 		Backends []member `json:"backends"`
 	}{Backends: make([]member, 0, len(c.backends))}
 	for _, b := range c.backends {
-		out.Backends = append(out.Backends, member{Addr: b.addr, Healthy: b.healthy.Load()})
+		out.Backends = append(out.Backends, member{Addr: b.addr, Healthy: b.breaker.Closed()})
 	}
 	body, _ := json.Marshal(out)
 	body = append(body, '\n')

@@ -9,11 +9,12 @@
 // The gateway treats the network between it and the backends as
 // hostile, not merely unreliable:
 //
-//   - A per-backend circuit breaker opens on consecutive failures or a
-//     high recent error rate and recovers through half-open trials;
-//     hard evidence of a dead process (dial refused) still ejects the
-//     backend immediately, and a jittered, backoff-aware /healthz
-//     prober re-admits it (breaker.go, probe.go).
+//   - A per-backend circuit breaker is the only health state: it opens
+//     on consecutive failures, a high recent error rate or a refused
+//     dial, and recovers through half-open trials whose cooldown backs
+//     off while they keep failing. Requests, sweep sub-dispatches and
+//     the jittered /healthz prober are all admitted and recorded by it
+//     (breaker.go, probe.go).
 //   - Failover, 429 waits and hedges all draw on a global retry budget
 //     so retries cannot amplify an overload; once the budget is spent,
 //     requests fail fast with 503 and an "X-Retry-Budget: exhausted"
@@ -45,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -72,10 +72,6 @@ type Config struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe round trip (0 = 1s).
 	ProbeTimeout time.Duration
-	// ProbeFailures is how many consecutive probe failures eject a
-	// backend (0 = 2). Re-admission takes a single success; a backend
-	// that keeps failing is re-probed with exponential backoff.
-	ProbeFailures int
 	// Retry429 is how many times a 429 from the shard owner is retried
 	// (honoring Retry-After) before being passed to the client (0 = 2,
 	// negative = no retries).
@@ -83,10 +79,11 @@ type Config struct {
 	// MaxRetryAfter caps how long one Retry-After hint is honored
 	// (0 = 5s).
 	MaxRetryAfter time.Duration
-	// BreakerFailures is the consecutive-failure run that opens a
-	// backend's circuit breaker (0 = 5, negative = breaker disabled).
+	// BreakerFailures is the consecutive-failure run (requests and
+	// probes alike) that opens a backend's circuit breaker (0 = 5).
 	BreakerFailures int
-	// BreakerCooldown is the open → half-open trial delay (0 = 2s).
+	// BreakerCooldown is the open → half-open trial delay (0 = 2s);
+	// each failed trial doubles it, up to 16×.
 	BreakerCooldown time.Duration
 	// RetryBudgetRatio caps extra backend attempts (failover, 429
 	// retries, hedges) at ratio × recent request volume (0 = 0.5,
@@ -115,7 +112,6 @@ type Config struct {
 type backend struct {
 	addr string
 
-	healthy  atomic.Bool
 	inflight atomic.Int64
 	breaker  *breaker
 
@@ -123,10 +119,6 @@ type backend struct {
 	// requests moved off it after failures.
 	shed      atomic.Uint64
 	failovers atomic.Uint64
-
-	// probeFails/probeSkip are touched only by the prober goroutine.
-	probeFails int
-	probeSkip  int
 }
 
 // cluster is one immutable snapshot of the routing membership: the
@@ -135,8 +127,8 @@ type backend struct {
 // membership changes build a new one under clusterMu and swap it in,
 // so every in-flight request keeps a coherent ring view while the
 // cluster resizes. Backend structs are reused across snapshots (same
-// address ⇒ same pointer), so breaker state, inflight gauges and
-// probe bookkeeping survive rebuilds and in-flight attempts against a
+// address ⇒ same pointer), so breaker state and inflight gauges
+// survive rebuilds and in-flight attempts against a
 // just-removed backend account correctly.
 type membership struct {
 	ring     *ring
@@ -156,6 +148,9 @@ type Gateway struct {
 	budget  *retryBudget
 	tracker *latencyTracker
 	mux     *http.ServeMux
+	// now is the breakers' and the retry budget's clock; tests replace
+	// it before serving.
+	now func() time.Time
 
 	cluster   atomic.Pointer[membership]
 	clusterMu sync.Mutex // serializes membership changes
@@ -165,9 +160,9 @@ type Gateway struct {
 }
 
 // New builds a Gateway over cfg.Backends and starts the health prober
-// (unless ProbeInterval < 0). Backends start healthy — optimism lets
-// the gateway serve before the first probe round; a dead backend is
-// ejected by its first failed probe or dial error.
+// (unless ProbeInterval < 0). Backends start with closed breakers —
+// optimism lets the gateway serve before the first probe round; a dead
+// backend's breaker opens on its first refused dial.
 func New(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: no backends")
@@ -175,16 +170,13 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
 	}
-	if cfg.ProbeFailures <= 0 {
-		cfg.ProbeFailures = 2
-	}
 	if cfg.Retry429 == 0 {
 		cfg.Retry429 = 2
 	}
 	if cfg.MaxRetryAfter <= 0 {
 		cfg.MaxRetryAfter = 5 * time.Second
 	}
-	if cfg.BreakerFailures == 0 {
+	if cfg.BreakerFailures <= 0 {
 		cfg.BreakerFailures = 5
 	}
 	if cfg.BreakerCooldown <= 0 {
@@ -217,8 +209,10 @@ func New(cfg Config) (*Gateway, error) {
 		budget:  newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetFloor),
 		tracker: &latencyTracker{},
 		mux:     http.NewServeMux(),
+		now:     time.Now,
 		stop:    make(chan struct{}),
 	}
+	g.budget.now = g.clock
 	backends := make([]*backend, len(cfg.Backends))
 	for i, addr := range cfg.Backends {
 		backends[i] = g.newBackend(addr)
@@ -253,43 +247,28 @@ func (g *Gateway) Close() {
 	g.wg.Wait()
 }
 
-// newBackend builds one backend struct in its starting state (healthy
-// — optimism lets it serve before the first probe round).
+// clock reads g.now, so a clock swapped in by a test reaches every
+// breaker.
+func (g *Gateway) clock() time.Time { return g.now() }
+
+// newBackend builds one backend struct in its starting state (breaker
+// closed — optimism lets it serve before the first probe round).
 func (g *Gateway) newBackend(addr string) *backend {
-	b := &backend{
+	return &backend{
 		addr:    addr,
-		breaker: newBreaker(g.cfg.BreakerFailures, g.cfg.BreakerCooldown),
+		breaker: newBreaker(g.cfg.BreakerFailures, g.cfg.BreakerCooldown, g.clock),
 	}
-	b.healthy.Store(true)
-	return b
 }
 
-// route returns key's backends in preference order: healthy backends
-// whose breaker is ready, then healthy-but-open-breaker ones, then
-// the ejected tail. The tail is kept so a request can still be
-// attempted when every backend looks bad (the cluster may be healthier
-// than the gateway's last look). Empty when every backend has been
+// route returns key's backends in ring preference order; breaker
+// admission is the picker's job. Empty when every backend has been
 // removed from the ring.
 func (g *Gateway) route(key string) []*backend {
 	c := g.cluster.Load()
 	seq := c.ring.sequence(key)
-	ordered := make([]*backend, 0, len(seq))
-	for _, i := range seq {
-		b := c.backends[i]
-		if b.healthy.Load() && b.breaker.Ready() {
-			ordered = append(ordered, b)
-		}
-	}
-	for _, i := range seq {
-		b := c.backends[i]
-		if b.healthy.Load() && !b.breaker.Ready() {
-			ordered = append(ordered, b)
-		}
-	}
-	for _, i := range seq {
-		if !c.backends[i].healthy.Load() {
-			ordered = append(ordered, c.backends[i])
-		}
+	ordered := make([]*backend, len(seq))
+	for i, j := range seq {
+		ordered[i] = c.backends[j]
 	}
 	return ordered
 }
@@ -416,15 +395,6 @@ func retryableStatus(code int) bool {
 		code == http.StatusServiceUnavailable
 }
 
-// isDialError reports whether err is a failure to even open a
-// connection — the hard evidence of a dead process that justifies
-// immediate ejection, as opposed to mid-stream failures that feed the
-// breaker.
-func isDialError(err error) bool {
-	var op *net.OpError
-	return errors.As(err, &op) && op.Op == "dial"
-}
-
 // forward proxies one call to the preferred backend with the full
 // resilience ladder: per-attempt timeout and integrity verification,
 // circuit-breaker admission, a p99-delay hedge to the next ring node,
@@ -447,8 +417,14 @@ func (g *Gateway) forward(r *http.Request, route []*backend, call proxyCall) (*h
 	resc := make(chan attemptResult, len(route)+1)
 	outstanding := 0
 	hedged := false
+	// Candidates come from the picker, which claims each one's breaker
+	// admission; tried keeps failover and hedges off backends already
+	// attempted.
+	var p picker
+	tried := make(map[*backend]bool, len(route))
 
 	launch := func(b *backend, hedge bool) {
+		tried[b] = true
 		actx := ctx
 		if at := g.cfg.AttemptTimeout; at > 0 {
 			var cancel context.CancelFunc
@@ -461,27 +437,7 @@ func (g *Gateway) forward(r *http.Request, route []*backend, call proxyCall) (*h
 			resc <- attemptResult{resp: resp, body: rb, err: err, b: b, hedge: hedge}
 		}()
 	}
-	// pick hands out untried candidates in route order, consuming the
-	// breaker's permission for each.
-	next := 0
-	pick := func() *backend {
-		for next < len(route) {
-			b := route[next]
-			next++
-			if b.breaker.Allow() {
-				return b
-			}
-		}
-		return nil
-	}
-	primary := pick()
-	if primary == nil {
-		// Every breaker refused: attempt the ring owner anyway rather
-		// than failing a request no backend was even offered.
-		primary = route[0]
-		next = 1
-	}
-	launch(primary, false)
+	launch(p.pick(route, nil), false)
 
 	var hedgec <-chan time.Time
 	if d := g.hedgeDelay(); d > 0 && len(route) > 1 {
@@ -497,7 +453,7 @@ func (g *Gateway) forward(r *http.Request, route []*backend, call proxyCall) (*h
 			return nil, nil, ctx.Err()
 		case <-hedgec:
 			hedgec = nil
-			if b := pick(); b != nil && g.budget.TryRetry(1) {
+			if b := p.next(route, tried); b != nil && g.budget.TryRetry(1) {
 				hedged = true
 				g.metrics.hedgesLaunched.Add(1)
 				launch(b, true)
@@ -521,7 +477,7 @@ func (g *Gateway) forward(r *http.Request, route []*backend, call proxyCall) (*h
 			if outstanding > 0 {
 				continue // the other in-flight attempt may still win
 			}
-			b := pick()
+			b := p.next(route, tried)
 			if b == nil {
 				break
 			}
@@ -533,13 +489,11 @@ func (g *Gateway) forward(r *http.Request, route []*backend, call proxyCall) (*h
 			launch(b, false)
 		}
 	}
-	// No usable response and no candidates left. A definitive HTTP
-	// response (a retryable 5xx every hop agreed on) passes through;
-	// transport-level death surfaces as 502.
-	if last.err == nil && last.resp != nil {
-		return last.resp, last.body, nil
-	}
-	return nil, nil, fmt.Errorf("backend unreachable: %v", last.err)
+	// No usable response and no candidates left: 502, as a sweep cell
+	// in the same state gets. A retryable 5xx from the last backend
+	// tried is no more definitive than a transport error — the other
+	// candidates may only have been skipped by their breakers.
+	return nil, nil, fmt.Errorf("backend unreachable: %s", lastErrOf(last))
 }
 
 // lastErrOf renders the failure reason of an unusable attempt.
@@ -583,16 +537,10 @@ func (g *Gateway) attempt(ctx, parent context.Context, b *backend, call proxyCal
 		started := time.Now()
 		resp, rb, err := g.roundTrip(ctx, b, call)
 		if err != nil {
-			if parent.Err() != nil {
-				// The client went away, not the backend; don't charge
-				// the breaker on its account.
-				return nil, nil, err
-			}
-			b.breaker.OnFailure()
-			if isDialError(err) {
-				// Nothing is listening: eject now, the prober will
-				// re-admit it.
-				b.healthy.Store(false)
+			if parent.Err() == nil {
+				// Charge the backend only when the client did not go
+				// away first.
+				b.breaker.Record(err)
 			}
 			return nil, nil, err
 		}
@@ -605,22 +553,23 @@ func (g *Gateway) attempt(ctx, parent context.Context, b *backend, call proxyCal
 				continue
 			}
 			// Reachable, just saturated: not a breaker failure.
-			b.breaker.OnSuccess()
+			b.breaker.Record(nil)
 			return resp, rb, nil
 		}
 		if resp.StatusCode == http.StatusOK {
 			if !digest.Verify(resp.Header.Get(digest.Header), rb) {
 				g.metrics.digestMismatches.Add(1)
-				b.breaker.OnFailure()
-				return nil, nil, fmt.Errorf("%s: %w", b.addr, errDigestMismatch)
+				err := fmt.Errorf("%s: %w", b.addr, errDigestMismatch)
+				b.breaker.Record(err)
+				return nil, nil, err
 			}
 			g.tracker.record(time.Since(started))
 		}
+		var outcome error
 		if retryableStatus(resp.StatusCode) {
-			b.breaker.OnFailure()
-		} else {
-			b.breaker.OnSuccess()
+			outcome = fmt.Errorf("%s: backend status %d", b.addr, resp.StatusCode)
 		}
+		b.breaker.Record(outcome)
 		return resp, rb, nil
 	}
 }
@@ -672,11 +621,11 @@ func (g *Gateway) retryAfter(resp *http.Response) time.Duration {
 	return d
 }
 
-// Healthy reports how many backends are currently admitted.
+// Healthy reports how many backends' breakers are closed.
 func (g *Gateway) Healthy() int {
 	n := 0
 	for _, b := range g.cluster.Load().backends {
-		if b.healthy.Load() {
+		if b.breaker.Closed() {
 			n++
 		}
 	}
@@ -704,7 +653,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for _, b := range g.cluster.Load().backends {
 		out.Backends = append(out.Backends, backendHealth{
 			Addr:      b.addr,
-			Healthy:   b.healthy.Load(),
+			Healthy:   b.breaker.Closed(),
 			Breaker:   breakerStateName(b.breaker.State()),
 			Inflight:  b.inflight.Load(),
 			Shed:      b.shed.Load(),

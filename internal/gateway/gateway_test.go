@@ -30,10 +30,28 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, cfg Config) *cluster {
 	t.Helper()
-	return newClusterWithServerConfig(t, n, cfg, server.Config{Workers: 2})
+	return newClusterWithServerConfig(t, n, cfg, server.Config{Workers: 2}, nil)
 }
 
-func newClusterWithServerConfig(t *testing.T, n int, cfg Config, scfg server.Config) *cluster {
+// newTestGateway builds a gateway whose breakers and retry budget run
+// on clk (nil = real time), closed at test end.
+func newTestGateway(t *testing.T, cfg Config, clk *fakeClock) *Gateway {
+	t.Helper()
+	if cfg.ProbeInterval == 0 {
+		cfg.ProbeInterval = -1 // tests drive ProbeOnce explicitly
+	}
+	gw, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clk != nil {
+		gw.now = clk.now
+	}
+	t.Cleanup(gw.Close)
+	return gw
+}
+
+func newClusterWithServerConfig(t *testing.T, n int, cfg Config, scfg server.Config, clk *fakeClock) *cluster {
 	t.Helper()
 	c := &cluster{}
 	for i := 0; i < n; i++ {
@@ -47,19 +65,9 @@ func newClusterWithServerConfig(t *testing.T, n int, cfg Config, scfg server.Con
 			s.Close()
 		})
 	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = -1 // tests drive ProbeOnce explicitly
-	}
-	gw, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.gw = gw
-	c.gwts = httptest.NewServer(gw)
-	t.Cleanup(func() {
-		c.gwts.Close()
-		gw.Close()
-	})
+	c.gw = newTestGateway(t, cfg, clk)
+	c.gwts = httptest.NewServer(c.gw)
+	t.Cleanup(c.gwts.Close)
 	return c
 }
 
@@ -211,7 +219,10 @@ func TestFailoverOnConnectionError(t *testing.T) {
 }
 
 // TestProbeEjectionAndReadmission drives the health prober against a
-// backend that can be switched between healthy and dead.
+// backend that can be switched between healthy and dead. Probes are
+// breaker attempts: failures form the run that opens it, a success on
+// a closed breaker records nothing, and readmission is a trial probe
+// once the cooldown has passed.
 func TestProbeEjectionAndReadmission(t *testing.T) {
 	var down atomic.Bool
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -222,11 +233,12 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer fake.Close()
-	gw, err := New(Config{Backends: []string{fake.URL}, ProbeInterval: -1, ProbeFailures: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
+	clk := newFakeClock()
+	gw := newTestGateway(t, Config{
+		Backends:        []string{fake.URL},
+		BreakerFailures: 2,
+		BreakerCooldown: time.Second,
+	}, clk)
 
 	gw.ProbeOnce()
 	if gw.Healthy() != 1 {
@@ -237,14 +249,24 @@ func TestProbeEjectionAndReadmission(t *testing.T) {
 	if gw.Healthy() != 1 {
 		t.Error("ejected after one failure, want two (flap damping)")
 	}
+	// A passing probe of a closed backend must not reset the failure
+	// run: a spared /healthz cannot hide failing requests.
+	down.Store(false)
+	gw.ProbeOnce()
+	down.Store(true)
 	gw.ProbeOnce()
 	if gw.Healthy() != 0 {
-		t.Error("backend not ejected after two consecutive probe failures")
+		t.Error("backend not ejected after its second failure")
 	}
 	down.Store(false)
 	gw.ProbeOnce()
+	if gw.Healthy() != 0 {
+		t.Error("re-admitted before the cooldown elapsed")
+	}
+	clk.advance(time.Second)
+	gw.ProbeOnce()
 	if gw.Healthy() != 1 {
-		t.Error("recovered backend not re-admitted on first successful probe")
+		t.Error("recovered backend not re-admitted by the first trial probe")
 	}
 }
 

@@ -117,7 +117,7 @@ func (m *gwMetrics) write(w io.Writer, backends []*backend, budget *retryBudget)
 	fmt.Fprintln(w, "# TYPE smpgw_backend_healthy gauge")
 	for _, b := range backends {
 		h := 0
-		if b.healthy.Load() {
+		if b.breaker.Closed() {
 			h = 1
 		}
 		fmt.Fprintf(w, "smpgw_backend_healthy{backend=%q} %d\n", b.addr, h)

@@ -1,49 +1,34 @@
 package gateway
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"time"
 )
 
-// Health probing. Two herd-control measures on top of PR 5's
-// fixed-interval prober:
+// Health probing. The prober is one more kind of attempt on the
+// breaker (breaker.go), not a second health state:
 //
+//   - A probe is admitted through Allow like any request, so an open
+//     breaker is re-probed only once its backed-off cooldown elapses —
+//     a long-dead backend costs one probe per 16 cooldowns, while a
+//     freshly opened one is re-checked after one.
+//   - A failed probe is recorded as a failure (a refused dial opens the
+//     breaker at once); a successful probe that claimed the half-open
+//     trial re-closes it. A successful probe of a closed backend
+//     records nothing, so a /healthz that chaos spares cannot hide a
+//     run of request failures.
 //   - Jitter: each gateway draws its next probe delay uniformly from
 //     [0.5, 1.5) × interval, so a fleet of gateways (re)started
 //     together does not hammer every backend's /healthz on the same
 //     beat forever.
-//   - Ejected-backend backoff: a backend that keeps failing probes is
-//     re-probed exponentially less often (skip 1, 2, 4 … maxProbeSkip
-//     rounds), so a long-dead backend costs one probe per ~16 rounds
-//     instead of one per round, while a freshly ejected one is still
-//     re-checked promptly.
-
-// maxProbeSkip caps the re-probe backoff (in probe rounds).
-const maxProbeSkip = 16
 
 // probeJitter maps one uniform draw u ∈ [0, 1) to a jittered probe
 // delay in [0.5, 1.5) × interval.
 func probeJitter(interval time.Duration, u float64) time.Duration {
 	return time.Duration(float64(interval) * (0.5 + u))
-}
-
-// reprobeSkip returns how many probe rounds to skip before re-probing
-// a backend that has failed failsBeyondEject consecutive probes past
-// the ejection threshold: 0, 1, 2, 4, 8, 16, 16, …
-func reprobeSkip(failsBeyondEject int) int {
-	if failsBeyondEject <= 0 {
-		return 0
-	}
-	if failsBeyondEject > 5 { // 1<<4 == maxProbeSkip
-		return maxProbeSkip
-	}
-	s := 1 << (failsBeyondEject - 1)
-	if s > maxProbeSkip {
-		s = maxProbeSkip
-	}
-	return s
 }
 
 // probeLoop drives jittered probe rounds until Close.
@@ -63,33 +48,25 @@ func (g *Gateway) probeLoop(interval time.Duration) {
 	}
 }
 
-// ProbeOnce runs one probe round: every due backend's /healthz is
-// checked, ejecting after ProbeFailures consecutive failures and
-// re-admitting on the first success. Backends deep in failure are
-// skipped per reprobeSkip. Exported so tests (and operators' debug
-// handlers) can force a round without waiting out the interval.
+// ProbeOnce runs one probe round over every backend its breaker
+// admits. Exported so tests (and operators' debug handlers) can force
+// a round without waiting out the interval.
 func (g *Gateway) ProbeOnce() {
 	for _, b := range g.cluster.Load().backends {
-		if b.probeSkip > 0 {
-			b.probeSkip--
+		if !b.breaker.Allow() {
 			continue
 		}
+		trial := !b.breaker.Closed()
 		resp, err := g.probec.Get(b.addr + "/healthz")
-		ok := err == nil && resp.StatusCode == http.StatusOK
 		if resp != nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("%s: healthz status %d", b.addr, resp.StatusCode)
+			}
 		}
-		if ok {
-			b.probeFails = 0
-			b.probeSkip = 0
-			b.healthy.Store(true)
-			continue
-		}
-		b.probeFails++
-		if b.probeFails >= g.cfg.ProbeFailures {
-			b.healthy.Store(false)
-			b.probeSkip = reprobeSkip(b.probeFails - g.cfg.ProbeFailures)
+		if err != nil || trial {
+			b.breaker.Record(err)
 		}
 	}
 }

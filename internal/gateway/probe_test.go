@@ -29,25 +29,11 @@ func TestProbeJitterRange(t *testing.T) {
 	}
 }
 
-// TestReprobeSkip: the ejected-backend re-probe backoff is exponential
-// and capped.
-func TestReprobeSkip(t *testing.T) {
-	cases := []struct {
-		fails, want int
-	}{
-		{-1, 0}, {0, 0}, {1, 1}, {2, 2}, {3, 4}, {4, 8},
-		{5, 16}, {6, 16}, {50, 16},
-	}
-	for _, tc := range cases {
-		if got := reprobeSkip(tc.fails); got != tc.want {
-			t.Errorf("reprobeSkip(%d) = %d, want %d", tc.fails, got, tc.want)
-		}
-	}
-}
-
 // TestProbeBackoffThundering: a backend that stays dead is probed
-// exponentially less often — the old prober hit it every round, so a
-// long outage cost one wasted probe per round per gateway (the herd).
+// exponentially less often — a per-round prober would hit it every
+// round, so a long outage cost one wasted probe per round per gateway
+// (the herd). Probes go through the breaker: five failures open it,
+// then each failed trial doubles the cooldown up to 16×.
 func TestProbeBackoffThundering(t *testing.T) {
 	var probes atomic.Int64
 	var down atomic.Bool
@@ -60,41 +46,37 @@ func TestProbeBackoffThundering(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer fake.Close()
-	gw, err := New(Config{Backends: []string{fake.URL}, ProbeInterval: -1, ProbeFailures: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
+	const cd = time.Second
+	clk := newFakeClock()
+	gw := newTestGateway(t, Config{Backends: []string{fake.URL}, BreakerCooldown: cd}, clk)
 
 	down.Store(true)
-	// Rounds 1,2 probe and eject (fails 1, 2 → skip 0). Then the
-	// backoff ladder: round 3 probes (fails 3 → skip 1), round 4
-	// skipped, round 5 probes (fails 4 → skip 2), rounds 6-7 skipped,
-	// round 8 probes. 16 rounds: probes at 1,2,3,5,8,13 = 6 probes.
-	for i := 0; i < 16; i++ {
+	// One round per cooldown. Rounds 1-5 probe and open the breaker;
+	// trials then fall due 1, 2, 4, 8 and 16 cooldowns after the last:
+	// rounds 6, 8, 12, 20, 36. 40 rounds: 10 probes.
+	for i := 0; i < 40; i++ {
+		clk.advance(cd)
 		gw.ProbeOnce()
 	}
-	if got := probes.Load(); got != 6 {
-		t.Errorf("dead backend probed %d times in 16 rounds, want 6 (backoff)", got)
+	if got := probes.Load(); got != 10 {
+		t.Errorf("dead backend probed %d times in 40 rounds, want 10 (backoff)", got)
 	}
 	if gw.Healthy() != 0 {
 		t.Fatal("dead backend not ejected")
 	}
 
-	// Recovery: the next non-skipped probe re-admits it and resets the
-	// backoff so a later ejection is re-checked promptly again.
+	// Recovery: the next trial probe re-admits it, at most a capped
+	// backoff period away, and resets the backoff so a later ejection
+	// is re-checked promptly again.
 	down.Store(false)
-	for i := 0; i < maxProbeSkip+1; i++ {
+	for i := 0; i < maxBackoff && gw.Healthy() == 0; i++ {
+		clk.advance(cd)
 		gw.ProbeOnce()
-		if gw.Healthy() == 1 {
-			break
-		}
 	}
 	if gw.Healthy() != 1 {
 		t.Fatal("recovered backend never re-admitted within a full backoff period")
 	}
-	b := gw.cluster.Load().backends[0]
-	if b.probeFails != 0 || b.probeSkip != 0 {
-		t.Errorf("recovery left probeFails=%d probeSkip=%d, want 0/0", b.probeFails, b.probeSkip)
+	if b := gw.cluster.Load().backends[0].breaker; b.backoff != 1 {
+		t.Errorf("recovery left backoff %d×, want 1×", b.backoff)
 	}
 }

@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -230,5 +231,112 @@ func TestDeadlineStamped(t *testing.T) {
 	ms, _ = strconv.ParseInt(v, 10, 64)
 	if !time.UnixMilli(ms).Equal(clientDL.Truncate(time.Millisecond)) {
 		t.Errorf("stamped deadline %v, want the client's earlier %v", time.UnixMilli(ms), clientDL)
+	}
+}
+
+// TestSweepHalfOpenTrial: sweeps are admitted through the breaker like
+// single requests. Once an open breaker's cooldown has passed, a run of
+// sweeps that keep failing on that backend sends it at most one trial
+// per cooldown, and the failed trial re-arms the breaker — sweep
+// traffic alone must not keep hammering an open backend.
+func TestSweepHalfOpenTrial(t *testing.T) {
+	good := httptest.NewServer(server.New(server.Config{Workers: 2}))
+	defer good.Close()
+	var hits atomic.Int64
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer bad.Close()
+	const cd = time.Second
+	clk := newFakeClock()
+	gw := newTestGateway(t, Config{
+		Backends:         []string{good.URL, bad.URL},
+		BreakerFailures:  1,
+		BreakerCooldown:  cd,
+		HedgeDelayMin:    -1,
+		RetryBudgetRatio: -1,
+	}, clk)
+	ts := httptest.NewServer(gw)
+	defer ts.Close()
+
+	// A batch with cells owned by both backends.
+	var cells []string
+	owned := 0
+	for seed := 1; seed <= 8; seed++ {
+		cells = append(cells, cellBody(seed))
+		var req server.Request
+		if err := json.Unmarshal([]byte(cellBody(seed)), &req); err != nil {
+			t.Fatal(err)
+		}
+		key, err := server.CanonicalKey(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gw.route(key)[0].addr == bad.URL {
+			owned++
+		}
+	}
+	if owned == 0 {
+		t.Fatal("no cell owned by the failing backend")
+	}
+	body := `{"cells":[` + strings.Join(cells, ",") + `]}`
+	sweep := func() {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := readSweepLines(t, resp.Body)
+		resp.Body.Close()
+		if len(lines) != len(cells) {
+			t.Fatalf("got %d lines for %d cells", len(lines), len(cells))
+		}
+		for _, l := range lines {
+			if l.Status != http.StatusOK {
+				t.Fatalf("cell %d: status %d (%s), want failover to 200", l.Index, l.Status, l.Error)
+			}
+		}
+	}
+	bb := gw.cluster.Load().backends[1].breaker
+
+	sweep() // trips the failing backend's breaker
+	if bb.State() != breakerOpen {
+		t.Fatal("failing sub-sweep did not open the breaker")
+	}
+	clk.advance(cd)
+	hits.Store(0)
+	for i := 0; i < 10; i++ {
+		sweep()
+	}
+	if n := hits.Load(); n > 1 {
+		t.Errorf("%d sub-sweeps reached the open backend in one cooldown, want at most 1 trial", n)
+	}
+	if bb.State() != breakerOpen {
+		t.Errorf("breaker state %d after a failed trial, want open (re-armed)", bb.State())
+	}
+	if opened, _ := bb.Transitions(); opened != 2 {
+		t.Errorf("breaker opened %d times, want 2 (trip, then re-arm)", opened)
+	}
+}
+
+// TestSweepBudgetCreditsRoutedCells: only cells actually routed to a
+// backend raise the retry allowance — a cell rejected locally with 400
+// costs no backend attempt, so it must not buy retries either (the
+// /v1/simulate path credits only after validation too).
+func TestSweepBudgetCreditsRoutedCells(t *testing.T) {
+	c := newCluster(t, 2, Config{})
+	body := `{"cells":[` + cellBody(1) + `,{"apps":"NoSuchApp"},` + cellBody(2) + `]}`
+	resp, err := http.Post(c.gwts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := readSweepLines(t, resp.Body)
+	resp.Body.Close()
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3", len(lines))
+	}
+	if got := c.gw.budget.requestsTotal.Load(); got != 2 {
+		t.Errorf("retry budget credited %d units for 2 routed cells (+1 rejected locally), want 2", got)
 	}
 }

@@ -22,12 +22,16 @@ import (
 // remapped from its sub-sweep position back to its position in the
 // client's batch and the serving backend recorded on the line.
 //
-// The chaos-era hardening lives in three places:
+// The chaos-era hardening lives in four places:
 //
+//   - Every sub-dispatch is admitted like a /v1/simulate attempt: the
+//     request's picker claims each backend's breaker admission once
+//     (so a half-open backend gets one trial sub-sweep), and each
+//     dispatch's one outcome is recorded on that breaker.
 //   - Every backend line's integrity digest is verified against the
 //     sub-sweep coordinates before the line is trusted; a corrupt line
-//     is dropped (feeding the breaker) and its cell re-earned
-//     elsewhere, so torn bytes never reach the client.
+//     is dropped (failing the dispatch's breaker outcome) and its cell
+//     re-earned elsewhere, so torn bytes never reach the client.
 //   - A sub-sweep that stalls past the hedge delay has its unanswered
 //     cells hedged to the next ring node; the first answer per cell
 //     wins, the losing stream is canceled, and when a loser completes
@@ -223,7 +227,11 @@ type sweepJob struct {
 	r        *http.Request
 	st       *sweepState
 	cells    []server.Request
+	keys     []string // canonical key per cell ("" = rejected locally)
 	deadline time.Time
+	// p admits every dispatch of this request: grouping, hedges and
+	// failover regroups alike.
+	p picker
 }
 
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -254,7 +262,6 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		g.gwError(w, started, http.StatusBadRequest, err.Error())
 		return
 	}
-	g.budget.OnRequest(len(req.Cells))
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -262,25 +269,32 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		g: g, r: r,
 		st:       newSweepState(g, w, len(req.Cells)),
 		cells:    req.Cells,
+		keys:     make([]string, len(req.Cells)),
 		deadline: deadline,
 	}
 
-	// Shard: group cell indices by owning backend. Cells the gateway
-	// can prove invalid become 400 lines without a backend round trip.
+	// Shard: group cell indices by the first backend whose breaker
+	// admits them. Cells the gateway can prove invalid become 400 lines
+	// without a backend round trip, and only routed cells are credited
+	// to the retry budget.
 	groups := make(map[*backend][]int)
+	routed := 0
 	for idx, cell := range req.Cells {
 		key, err := server.CanonicalKey(cell)
 		if err != nil {
 			j.st.fail(idx, http.StatusBadRequest, err.Error())
 			continue
 		}
-		route := g.route(key)
-		if len(route) == 0 {
+		j.keys[idx] = key
+		b := j.p.pick(g.route(key), nil)
+		if b == nil {
 			j.st.fail(idx, http.StatusBadGateway, "no backends")
 			continue
 		}
-		groups[route[0]] = append(groups[route[0]], idx)
+		groups[b] = append(groups[b], idx)
+		routed++
 	}
+	g.budget.OnRequest(routed)
 
 	var wg sync.WaitGroup
 	for b, orig := range groups {
@@ -294,19 +308,11 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	g.metrics.observe(http.StatusOK)
 }
 
-// nextBackend picks where cell idx should go when not (or no longer)
-// to avoid: the first route candidate other than avoid.
+// nextBackend picks where cell idx should go instead of avoid: the
+// first other route candidate the request's picker admits, falling
+// back like grouping when every breaker refuses.
 func (j *sweepJob) nextBackend(idx int, avoid *backend) *backend {
-	key, err := server.CanonicalKey(j.cells[idx])
-	if err != nil {
-		return nil
-	}
-	for _, cand := range j.g.route(key) {
-		if cand != avoid {
-			return cand
-		}
-	}
-	return nil
+	return j.p.pick(j.g.route(j.keys[idx]), map[*backend]bool{avoid: true})
 }
 
 // dispatch runs one sub-sweep covering cells orig against b, watching
@@ -386,13 +392,10 @@ func (j *sweepJob) dispatch(b *backend, orig []int, hop int, isHedge bool) {
 	err := j.runSweepGroup(ctx, b, orig, activity, isHedge)
 	cancel()
 	<-watchDone
-	if err != nil && j.r.Context().Err() == nil {
-		b.breaker.OnFailure()
-		if isDialError(err) {
-			b.healthy.Store(false)
-		}
-	} else if err == nil {
-		b.breaker.OnSuccess()
+	if err == nil || j.r.Context().Err() == nil {
+		// A failure is charged only when the client did not go away
+		// first.
+		b.breaker.Record(err)
 	}
 	spawned.Wait()
 
@@ -434,7 +437,8 @@ func (j *sweepJob) dispatch(b *backend, orig []int, hop int, isHedge bool) {
 // runSweepGroup posts one sub-sweep to b and forwards its verified
 // stream. Lines are digest-checked against the sub-sweep coordinates
 // before being trusted; a corrupt line is dropped (the cell stays
-// unanswered and is re-earned elsewhere). A retryable whole-sweep
+// unanswered and is re-earned elsewhere) and the stream reported as a
+// digest-mismatch failure once it ends. A retryable whole-sweep
 // refusal (injected or real 5xx) is reported as an error so the cells
 // fail over; a definitive refusal becomes per-cell lines.
 func (j *sweepJob) runSweepGroup(ctx context.Context, b *backend, orig []int, activity chan<- struct{}, isHedge bool) error {
@@ -477,6 +481,7 @@ func (j *sweepJob) runSweepGroup(ctx context.Context, b *backend, orig []int, ac
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), sweepMaxBodyBytes)
+	corrupt, verified := 0, 0
 	for sc.Scan() {
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
@@ -495,14 +500,24 @@ func (j *sweepJob) runSweepGroup(ctx context.Context, b *backend, orig []int, ac
 		}
 		sub := line.Index
 		if !digest.VerifyLine(line.Digest, line.Status, sub, line.Response) {
-			// Corrupt bytes survived HTTP framing: drop the line, let
-			// the cell be re-earned, and charge the path that served it.
+			// Corrupt bytes survived HTTP framing: drop the line and
+			// let the cell be re-earned.
 			j.g.metrics.digestMismatches.Add(1)
-			b.breaker.OnFailure()
+			corrupt++
 			continue
 		}
 		line.Index = orig[sub]
 		j.st.emit(SweepLine{SweepCellResult: line, Backend: b.addr}, isHedge)
+		verified++
 	}
-	return sc.Err()
+	if corrupt > 0 {
+		return fmt.Errorf("%s: %d sweep lines: %w", b.addr, corrupt, errDigestMismatch)
+	}
+	// Once every cell has its verified line the stream has done its
+	// job: an error after that is the first-win watchdog canceling it
+	// before EOF, not a backend failure.
+	if err := sc.Err(); err != nil && verified < len(orig) {
+		return err
+	}
+	return nil
 }

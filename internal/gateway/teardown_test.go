@@ -85,7 +85,7 @@ func TestTimelineMultiplexerTeardown(t *testing.T) {
 func TestTimelineMaxTeardownThroughGateway(t *testing.T) {
 	// Small telemetry windows so even a short cell seals backlog lines.
 	c := newClusterWithServerConfig(t, 2, Config{},
-		server.Config{Workers: 2, TimelineQuanta: 8})
+		server.Config{Workers: 2, TimelineQuanta: 8}, nil)
 	// Seed backlog on the backends so max=1 is satisfiable.
 	resp, _ := post(t, c.gwts.URL, "/v1/simulate", cellBody(1))
 	if resp.StatusCode != http.StatusOK {

@@ -77,7 +77,7 @@ func (g *Gateway) timelineSummary(w http.ResponseWriter, started time.Time) {
 	var wg sync.WaitGroup
 	for i, b := range backends {
 		per[i] = BackendTimelineSummary{Addr: b.addr}
-		if !b.healthy.Load() {
+		if !b.breaker.Closed() {
 			continue
 		}
 		wg.Add(1)
@@ -152,7 +152,7 @@ func (g *Gateway) timelineStream(w http.ResponseWriter, r *http.Request, started
 	var wg sync.WaitGroup
 	streams := 0
 	for _, b := range g.cluster.Load().backends {
-		if !b.healthy.Load() {
+		if !b.breaker.Closed() {
 			continue
 		}
 		streams++

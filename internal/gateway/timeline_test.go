@@ -146,7 +146,7 @@ func TestTimelineStreamStampsBackends(t *testing.T) {
 // TestTimelineNoHealthyBackends pins the degraded-path behavior for
 // both modes.
 func TestTimelineNoHealthyBackends(t *testing.T) {
-	c := newCluster(t, 1, Config{ProbeFailures: 1})
+	c := newCluster(t, 1, Config{})
 	c.backends[0].Close()
 	c.servers[0].Close()
 	c.gw.ProbeOnce()
